@@ -120,8 +120,8 @@ class _DriftingSource:
     This is the shape :class:`~repro.monitor.snapshot.CachedSnapshotSource`
     produces in incremental mode — snapshots chained by stashed step
     deltas — so both the single broker and the federation exercise their
-    real incremental paths (LoadState migration, router ``advance``,
-    shard-slice catch-up) rather than full rebuilds.
+    real incremental paths (array-store patching, shard-slice catch-up)
+    rather than full rebuilds.
     """
 
     def __init__(self, snap: ClusterSnapshot, seed: int) -> None:

@@ -1,14 +1,15 @@
-"""Hot-path benchmarks: incremental LoadState, batch solver, transport.
+"""Hot-path benchmarks: incremental refresh, batch solver, transport.
 
 Three sections, one machine-readable record (``BENCH_hotpath.json`` at
 the repo root, also via ``make bench-json``):
 
 * **decision latency vs node count** — synthetic 60/1k/5k-node
   topologies (sparse measured links, the allocator's dense matrices
-  still cover every pair); per refresh we compare a full
-  ``load_state`` rebuild against the incremental path
-  (``compute_delta`` → ``apply_snapshot_delta`` → delta-patched
-  ``load_state``) when a few percent of the fleet drifts, plus the
+  still cover every pair); per refresh we compare a full rebuild (a
+  fresh snapshot's array store plus its ``load_state`` slice) against
+  the incremental path (``compute_delta`` → ``apply_snapshot_delta``,
+  which patches the store once → a ``load_state`` slice of the
+  patched store) when a few percent of the fleet drifts, plus the
   warm single-decision latency with candidate pruning;
 * **batch solver vs sequential** — summed raw Equation-4 cost of
   ``allocate_batch`` deciding N queued jobs together must be no worse
@@ -164,7 +165,7 @@ def drift(snap: ClusterSnapshot, rng, fraction: float) -> ClusterSnapshot:
 
 
 def _fresh_copy(snap: ClusterSnapshot) -> ClusterSnapshot:
-    """The same facts in a new object — no migratable derived cache."""
+    """The same facts in a new object — no array store to patch."""
     return ClusterSnapshot(
         time=snap.time,
         nodes=dict(snap.nodes),

@@ -82,6 +82,27 @@ _TOKEN_MEMO_CAP = 4096
 _DECISION_MEMO_CAP = 4096
 
 
+def _usable(snapshot: ClusterSnapshot, held: frozenset[str]) -> frozenset[str]:
+    """The nodes a decision may use: monitored, live and not held."""
+    scope = frozenset(snapshot.nodes) & frozenset(snapshot.livehosts)
+    return scope - held if held else scope
+
+
+def _check_ppn(params: AllocateParams, usable: frozenset[str]) -> None:
+    """Refuse a request that an explicit ``ppn`` cannot fit on ``usable``.
+
+    Algorithm 1 round-robins a remainder it cannot place over the nodes
+    it visited (lines 12-13), which would grant more than ``ppn``
+    processes per node.  A lease must honour the ``ppn`` it was asked
+    for, so the broker denies instead.
+    """
+    if params.ppn is not None and params.n_processes > params.ppn * len(usable):
+        raise AllocationError(
+            f"{params.n_processes} processes do not fit at ppn={params.ppn} "
+            f"on {len(usable)} usable node(s)"
+        )
+
+
 class _BatchEntry:
     """One successfully decided (not yet granted) batch member."""
 
@@ -447,6 +468,7 @@ class BrokerService:
         # twice expect two draws — and are the only rng consumers.
         memoizable = self.memoize_decisions and policy != "random"
         if not memoizable:
+            _check_ppn(params, _usable(snapshot, held))
             return self._broker.request(
                 request,
                 rng=self._rng,
@@ -475,10 +497,9 @@ class BrokerService:
         # over the whole set), so the entry's invalidation scope is the
         # usable set itself — a delta touching none of these nodes
         # cannot change the outcome.
-        scope = frozenset(snapshot.nodes) & frozenset(snapshot.livehosts)
-        if held:
-            scope = scope - held
+        scope = _usable(snapshot, held)
         try:
+            _check_ppn(params, scope)
             allocation = self._broker.request(
                 request, policy=chosen, exclude=held or None, snapshot=snapshot
             ).allocation

@@ -59,12 +59,39 @@ def add_scenario_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def add_request_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-n", "--procs", type=int, default=32)
-    p.add_argument("--ppn", type=int, default=4, help="processes per node")
+def _int_from(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value"
+    return parse
+
+
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+_alpha.__name__ = "float"
+
+
+def add_request_args(
+    p: argparse.ArgumentParser, *, min_ppn: int = 1
+) -> None:
+    """``-n``/``--ppn``/``--alpha``, checked so a bad value exits 2 with usage."""
+    p.add_argument("-n", "--procs", type=_int_from(1), default=32)
+    p.add_argument("--ppn", type=_int_from(min_ppn), default=4,
+                   help="processes per node")
     p.add_argument(
-        "--alpha", type=float, default=0.3,
-        help="compute weight (beta = 1 - alpha weighs the network)",
+        "--alpha", type=_alpha, default=0.3,
+        help="compute weight in [0, 1] (beta = 1 - alpha weighs the network)",
     )
 
 
@@ -837,9 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-max-age-s", type=float, default=5.0,
                    help="serve decisions from a snapshot at most this old")
     p.add_argument("--incremental", action="store_true",
-                   help="refresh snapshots via delta patches (migrates the "
-                        "cached LoadState instead of rebuilding; structural "
-                        "changes still fall back to a full rebuild)")
+                   help="refresh snapshots via delta patches (the "
+                        "snapshot's array store is patched once and each "
+                        "decision slices it; structural changes still "
+                        "fall back to a full rebuild)")
     p.add_argument("--advance-on-refresh-s", type=float, default=5.0,
                    help="simulated seconds the cluster advances per "
                         "snapshot refresh (0 = frozen cluster)")
@@ -857,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="build a sharded federation and show its routing",
     )
     add_scenario_args(p)
-    add_request_args(p)
+    add_request_args(p, min_ppn=0)  # --ppn 0: no explicit ppn
     p.add_argument("--shards", type=int, default=4,
                    help="target shard count (whole switch subtrees)")
     p.add_argument("--json", action="store_true",

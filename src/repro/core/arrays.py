@@ -3,15 +3,20 @@
 The reference implementation in :mod:`repro.core.candidate` and
 :mod:`repro.core.selection` runs Algorithms 1 and 2 as pure-Python dict
 arithmetic over O(V²) pair keys.  This module packs the same quantities
-into NumPy arrays once per snapshot and replays both algorithms as array
-operations:
+into NumPy arrays and replays both algorithms as array operations:
 
-* :class:`LoadState` — node-index table, Equation-1 ``CL`` vector, dense
-  symmetric Equation-2 ``NL`` matrix (unmeasured pairs filled with the
-  worst observed load, tracked by a mask), and the Equation-3 effective
-  processor vector.  Built once per (snapshot, node subset, weights,
-  normalization, ppn/load-key) and memoized on the snapshot itself via
-  :func:`repro.monitor.snapshot.derived_cache`.
+* :class:`ArrayStore` — one per snapshot, memoized in its
+  :func:`~repro.monitor.snapshot.derived_cache`: the node index, the raw
+  attribute matrix, Equation-3 processor counts and the measured pairs'
+  raw latency/bandwidth-complement vectors.  It holds no weights, no
+  ``ppn`` and no normalization, so one store serves every request
+  shape, and :func:`~repro.monitor.delta.apply_snapshot_delta` patches
+  it once per delta instead of rebuilding it.
+* :class:`LoadState` — one *slice* of the store: Equation-1 ``CL``
+  vector, dense symmetric Equation-2 ``NL`` matrix (unmeasured pairs
+  filled with the worst observed load) and Equation-3 vector, all
+  normalized over exactly the usable node set (§3.2.1).  Memoized on
+  the snapshot per (node subset, weights, normalization, ppn/load-key).
 * :func:`generate_all_candidates_fast` — Algorithm 1 for *all* |V|
   starting nodes at once: one addition-cost matrix
   ``A = α·CL[None, :] + β·NL``, one stable per-row lexsort, one
@@ -21,31 +26,32 @@ operations:
   membership matrix ``M``: compute costs ``C = M·CL`` and network costs
   ``N = ½·diag(M·NL·Mᵀ)``.
 
-Exactness contract: the ``CL``/``NL``/``PC`` values come from the same
-reference functions the dict path uses, and NumPy's element-wise
-``α·CL + β·NL`` is bit-identical to the scalar expression, so the
-per-row lexsort reproduces the reference candidate *exactly* (same
-nodes, same process counts, same tie-breaks).  Equation-4 totals are
-summed in a different order than the reference (pairwise vs. sequential
-float addition), so when the top two candidates land within
-``_TIE_RTOL`` the winner is re-derived with the reference
-:func:`repro.core.selection.select_best` — guaranteeing the fast path
-returns the identical allocation even under exact ties.
+Exactness contract: a slice normalizes with the reference's own
+left-to-right Python sums, in the reference's iteration order, and
+NumPy's element-wise ``α·CL + β·NL`` is bit-identical to the scalar
+expression, so the per-row lexsort reproduces the reference candidate
+*exactly* (same nodes, same process counts, same tie-breaks).
+Equation-4 totals are summed in a different order than the reference
+(pairwise vs. sequential float addition), so when the top two
+candidates land within ``_TIE_RTOL`` the winner is re-derived with the
+reference :func:`repro.core.selection.select_best` — guaranteeing the
+fast path returns the identical allocation even under exact ties.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.attributes import ATTRIBUTES, Criterion
 from repro.core.candidate import CandidateSubgraph
-from repro.core.compute_load import compute_loads
-from repro.core.effective_procs import effective_proc_count, effective_proc_counts
-from repro.core.network_load import PairKey, combine_pair_costs, pair_inputs
+from repro.core.effective_procs import effective_proc_count
+from repro.core.network_load import PairKey, pair_inputs
+from repro.core.normalization import NORMALIZERS
 from repro.core.selection import ScoredCandidate, select_best
 from repro.core.weights import ComputeWeights, NetworkWeights, TradeOff
 from repro.monitor.snapshot import ClusterSnapshot, derived_cache
@@ -65,251 +71,195 @@ PRUNE_THRESHOLD_DEFAULT = 512
 #: how many Algorithm-1 seeds the pruned path keeps
 PRUNE_KEEP_DEFAULT = 32
 
+#: key under which a snapshot's :class:`ArrayStore` lives in its
+#: ``derived_cache``
+STORE_KEY = "array_store"
+
 
 @dataclass(frozen=True)
-class StateParams:
-    """Everything :func:`_build_state` was called with.
+class ArrayStore:
+    """One snapshot's raw Equation 1–3 inputs, packed as arrays.
 
-    Kept on the state so :meth:`LoadState.apply_delta` can re-derive the
-    affected Equation-1/2/3 values without the caller re-supplying the
-    build arguments (they are already part of the memo key).
+    Nothing here depends on a request: weights, ``ppn`` and
+    normalization are applied when :func:`load_state` slices the store.
     """
 
-    compute_weights: ComputeWeights
-    network_weights: NetworkWeights
-    ppn: int | None
-    load_key: str
-    method: str
+    #: node names in snapshot order; ``index`` maps name → column
+    nodes: tuple[str, ...]
+    index: Mapping[str, int]
+    #: raw attribute values, (attributes, V) in ``ATTRIBUTES`` order
+    raw: np.ndarray
+    #: measured pairs (latency and bandwidth both known, both ends in
+    #: ``nodes``) in sorted-key order — the dict path's iteration order
+    pairs: tuple[PairKey, ...]
+    pair_index: Mapping[PairKey, int]
+    #: endpoint columns of each pair
+    pair_ii: np.ndarray
+    pair_jj: np.ndarray
+    #: raw Equation-2 inputs per pair
+    lat: np.ndarray
+    bwc: np.ndarray
+    #: Equation-3 effective processor counts per load key, (V,) each,
+    #: computed on first use
+    procs: dict[str, np.ndarray] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def proc_counts(
+        self, snapshot: ClusterSnapshot, load_key: str
+    ) -> np.ndarray:
+        """Equation 3 for every node, from the ``load_key`` running mean."""
+        pc = self.procs.get(load_key)
+        if pc is None:
+            views = snapshot.nodes
+            pc = np.fromiter(
+                (
+                    effective_proc_count(
+                        views[n].cores, float(views[n].cpu_load[load_key])
+                    )
+                    for n in self.nodes
+                ),
+                dtype=np.int64,
+                count=len(self.nodes),
+            )
+            self.procs[load_key] = pc
+        return pc
+
+    def patched(
+        self, snapshot: ClusterSnapshot, delta: "SnapshotDelta"
+    ) -> "ArrayStore":
+        """This store advanced by ``delta``; ``snapshot`` is the patched one.
+
+        Copy-on-write in O(changed): only the vectors a delta touches are
+        copied, only its entries are re-extracted, and the index tables
+        are shared (a delta never changes the node or pair sets).
+        """
+        changed = [n for n in delta.nodes if n in self.index]
+        raw, procs = self.raw, dict(self.procs)
+        if changed:
+            raw = raw.copy()
+            procs = {key: pc.copy() for key, pc in procs.items()}
+            for n in changed:
+                view = snapshot.nodes[n]
+                j = self.index[n]
+                for i, attr in enumerate(ATTRIBUTES):
+                    if not attr.static:
+                        # a static change is structural → full rebuild
+                        raw[i, j] = attr.extract(view)
+                for key, pc in procs.items():
+                    pc[j] = effective_proc_count(
+                        view.cores, float(view.cpu_load[key])
+                    )
+        touched = [
+            k
+            for k in {*delta.latency_us, *delta.bandwidth_mbs}
+            if k in self.pair_index
+        ]
+        lat, bwc = self.lat, self.bwc
+        if touched:
+            lat, bwc = lat.copy(), bwc.copy()
+            for key in touched:
+                j = self.pair_index[key]
+                lat[j] = snapshot.latency(*key)
+                bwc[j] = snapshot.bandwidth_complement(*key)
+        return dataclasses.replace(
+            self, raw=raw, lat=lat, bwc=bwc, procs=procs
+        )
+
+
+def array_store(snapshot: ClusterSnapshot) -> ArrayStore:
+    """The snapshot's :class:`ArrayStore`, built on first use."""
+    cache = derived_cache(snapshot)
+    store = cache.get(STORE_KEY)
+    if store is None:
+        nodes = tuple(snapshot.nodes)
+        index = {n: i for i, n in enumerate(nodes)}
+        views = [snapshot.nodes[n] for n in nodes]
+        lat, bwc = pair_inputs(snapshot, nodes=nodes)
+        pairs = tuple(lat)
+        count = len(pairs)
+        store = ArrayStore(
+            nodes=nodes,
+            index=index,
+            raw=np.array(
+                [[a.extract(view) for view in views] for a in ATTRIBUTES],
+                dtype=np.float64,
+            ),
+            pairs=pairs,
+            pair_index={k: j for j, k in enumerate(pairs)},
+            pair_ii=np.fromiter(
+                (index[a] for a, _ in pairs), dtype=np.intp, count=count
+            ),
+            pair_jj=np.fromiter(
+                (index[b] for _, b in pairs), dtype=np.intp, count=count
+            ),
+            lat=np.fromiter(lat.values(), dtype=np.float64, count=count),
+            bwc=np.fromiter(bwc.values(), dtype=np.float64, count=count),
+        )
+        cache[STORE_KEY] = store
+    return store
 
 
 @dataclass(frozen=True)
 class LoadState:
-    """Array view of one snapshot's allocator inputs (Eq. 1–3).
+    """Allocator inputs (Eq. 1–3) over one usable node set, as arrays.
 
-    The dict fields (``cl``, ``nl``, ``pc``) are the *reference* values
-    the arrays were packed from; they are kept so exact-equivalence
-    fallbacks and the hierarchical policy can reuse them without
-    recomputing.
+    A slice of its snapshot's :class:`ArrayStore`.  The reference dicts
+    (``cl``, ``nl``, ``pc``) are derived from the arrays on first access,
+    for the exact-equivalence tie fallback and the hierarchical policy.
     """
 
     #: node names in index order (the usable-node order)
     nodes: tuple[str, ...]
     #: name → row/column index
     index: Mapping[str, int]
-    #: Equation-1 compute loads (reference dict)
-    cl: Mapping[str, float]
-    #: Equation-2 network loads over measured pairs (reference dict)
-    nl: Mapping[PairKey, float]
-    #: Equation-3 effective processor counts (reference dict)
-    pc: Mapping[str, int]
     #: ``CL`` as a (V,) float vector
     cl_vec: np.ndarray
     #: dense symmetric (V, V) ``NL`` matrix — unmeasured pairs hold
     #: ``missing_penalty``, the diagonal is zero
     nl_mat: np.ndarray
-    #: (V, V) bool mask, True where the pair was actually measured
-    measured: np.ndarray
     #: worst observed pair load (0.0 when nothing was measured)
     missing_penalty: float
     #: effective processors as a (V,) int vector
     pc_vec: np.ndarray
-    #: build parameters, kept for :meth:`apply_delta` (None on states
-    #: constructed by hand without incremental support)
-    params: StateParams | None = None
-    #: raw measured latency per pair (Equation-2 input, pre-normalization)
-    lat: Mapping[PairKey, float] | None = None
-    #: raw bandwidth complement per pair (Equation-2 input)
-    bwc: Mapping[PairKey, float] | None = None
-    #: raw attribute matrix, (attributes, V) in ``ATTRIBUTES`` order —
-    #: the pre-normalization Equation-1 inputs, kept so
-    #: :meth:`apply_delta` patches changed columns and re-normalizes as
-    #: array operations instead of re-extracting every view
-    raw_mat: np.ndarray | None = None
-    #: measured pairs in ``nl`` iteration order (the normalization order)
-    pair_order: tuple[PairKey, ...] = ()
-    #: row/column index arrays matching ``pair_order`` — one fancy-index
-    #: assignment patches every measured ``nl_mat`` entry in O(E)
-    pair_ii: np.ndarray | None = None
-    pair_jj: np.ndarray | None = None
-    #: bumped every time :meth:`apply_delta` actually changes this state;
-    #: untouched states keep their generation (and identity)
-    generation: int = 0
-    #: per-state scratch memos (seed-pruning bounds); reset on delta
+    #: the store this state was sliced from, and the positions in
+    #: ``store.pairs`` of the measured pairs with both ends in ``nodes``
+    store: ArrayStore = field(compare=False, repr=False)
+    pair_sel: np.ndarray = field(compare=False, repr=False)
+    #: per-state scratch memos (seed-pruning bounds)
     scratch: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _cl_from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Equation 1 over the raw matrix, bit-identical to the dicts.
+    @cached_property
+    def cl(self) -> dict[str, float]:
+        """Equation-1 compute loads (reference dict)."""
+        return dict(zip(self.nodes, self.cl_vec.tolist()))
 
-        Mirrors ``to_cost`` + ``saw_scores`` operation for operation:
-        the normalization denominator is a sequential Python sum in node
-        order (exactly ``sum(values.values())``), divisions and the
-        weighted accumulation are the same per-element IEEE operations
-        in the same attribute order, so the result matches a
-        ``compute_loads`` rebuild to the last bit.
-        """
-        assert self.params is not None
-        v = raw.shape[1]
-        weights = self.params.compute_weights.weights
-        cl = np.zeros(v, dtype=np.float64)
-        for i, attr in enumerate(ATTRIBUTES):
-            w = float(weights.get(attr.name, 0.0))
-            if w == 0.0:
-                continue
-            column = raw[i]
-            total = sum(column.tolist())
-            denom = total / v if self.params.method == "mean" else total
-            norm = (
-                column / denom
-                if denom != 0
-                else np.zeros(v, dtype=np.float64)
-            )
-            if attr.criterion is Criterion.MAXIMIZE:
-                norm = float(norm.max()) - norm
-            cl += w * norm
-        return cl
+    @cached_property
+    def nl(self) -> dict[PairKey, float]:
+        """Equation-2 loads over measured pairs (reference dict)."""
+        keys = [self.store.pairs[p] for p in self.pair_sel.tolist()]
+        rows = [self.index[a] for a, _ in keys]
+        cols = [self.index[b] for _, b in keys]
+        return dict(zip(keys, self.nl_mat[rows, cols].tolist()))
 
-    def apply_delta(
-        self, snapshot: ClusterSnapshot, delta: "SnapshotDelta", *,
-        inplace: bool = False,
-    ) -> "LoadState":
-        """Patch this state to reflect ``delta``, skipping ``_build_state``.
-
-        ``snapshot`` is the *already patched* snapshot the returned state
-        describes.  Equation 1/2 normalize over the whole ranked set, so a
-        delta cannot touch single entries — instead the O(V²) pair scan is
-        skipped and only the cheap parts re-run:
-
-        * **CL** — the raw attribute matrix is patched for the changed
-          nodes and re-normalized as array operations (O(changed) Python
-          work plus vectorized O(attributes · V) arithmetic), bit-identical
-          to a ``compute_loads`` rebuild.
-        * **NL** — the stored raw latency/bandwidth-complement dicts are
-          patched for the changed pairs and re-combined in the original
-          key order (O(E), bit-identical); ``nl_mat``'s measured entries
-          are overwritten through the precomputed index arrays, and the
-          unmeasured fill is rewritten only when the worst observed load
-          moved.
-        * **PC** — Equation 3 is per-node; only changed nodes recompute.
-
-        Returns ``self`` unchanged (same generation) when the delta does
-        not intersect this state's node subset; otherwise a new state
-        with ``generation + 1`` and fresh scratch memos.  With
-        ``inplace=True`` the new state reuses (and mutates) this state's
-        ``nl_mat`` buffer — the caller must drop the old state, which is
-        what the snapshot-migration path does.
-        """
-        if self.params is None or self.lat is None or self.bwc is None:
-            raise ValueError(
-                "LoadState lacks incremental bookkeeping (built by hand?); "
-                "rebuild via load_state() instead"
-            )
-        p = self.params
-        changed_nodes = [n for n in delta.nodes if n in self.index]
-        changed_pairs = {
-            k
-            for k in (*delta.latency_us, *delta.bandwidth_mbs)
-            if k in self.lat
-        }
-        if not changed_nodes and not changed_pairs:
-            return self
-
-        cl, cl_vec = self.cl, self.cl_vec
-        pc, pc_vec = self.pc, self.pc_vec
-        raw_mat = self.raw_mat
-        if changed_nodes:
-            if raw_mat is not None:
-                raw_mat = raw_mat if inplace else raw_mat.copy()
-                for n in changed_nodes:
-                    view = snapshot.nodes[n]
-                    j = self.index[n]
-                    for i, attr in enumerate(ATTRIBUTES):
-                        if not attr.static:
-                            # deltas never move static specs (a static
-                            # change is structural → full rebuild)
-                            raw_mat[i, j] = attr.extract(view)
-                cl_vec = self._cl_from_raw(raw_mat)
-                cl = dict(zip(self.nodes, cl_vec.tolist()))
-            else:
-                cl = compute_loads(
-                    snapshot, p.compute_weights,
-                    nodes=list(self.nodes), method=p.method,
-                )
-                cl_vec = np.array(
-                    [cl[n] for n in self.nodes], dtype=np.float64
-                )
-            if p.ppn is None:
-                pc = dict(self.pc)
-                pc_vec = self.pc_vec.copy()
-                for n in changed_nodes:
-                    view = snapshot.nodes[n]
-                    pc[n] = effective_proc_count(
-                        view.cores, float(view.cpu_load[p.load_key])
-                    )
-                    pc_vec[self.index[n]] = pc[n]
-
-        lat, bwc = self.lat, self.bwc
-        nl, nl_mat = self.nl, self.nl_mat
-        penalty = self.missing_penalty
-        if changed_pairs:
-            lat, bwc = dict(self.lat), dict(self.bwc)
-            for key in changed_pairs:
-                lat[key] = snapshot.latency(*key)
-                bwc[key] = snapshot.bandwidth_complement(*key)
-            nl = combine_pair_costs(
-                lat, bwc, p.network_weights, method=p.method
-            )
-            nl_mat = self.nl_mat if inplace else self.nl_mat.copy()
-            count = len(self.pair_order)
-            vals = np.fromiter(
-                (nl[k] for k in self.pair_order),
-                dtype=np.float64, count=count,
-            )
-            nl_mat[self.pair_ii, self.pair_jj] = vals
-            nl_mat[self.pair_jj, self.pair_ii] = vals
-            penalty = max(nl.values()) if nl else 0.0
-            if penalty != self.missing_penalty:
-                nl_mat[~self.measured] = penalty
-                np.fill_diagonal(nl_mat, 0.0)
-        return dataclasses.replace(
-            self,
-            cl=cl, nl=nl, pc=pc,
-            cl_vec=cl_vec, nl_mat=nl_mat, pc_vec=pc_vec,
-            missing_penalty=penalty, lat=lat, bwc=bwc, raw_mat=raw_mat,
-            generation=self.generation + 1, scratch={},
-        )
+    @cached_property
+    def pc(self) -> dict[str, int]:
+        """Equation-3 effective processor counts (reference dict)."""
+        return dict(zip(self.nodes, self.pc_vec.tolist()))
 
 
-def migrate_states(
-    old: ClusterSnapshot,
-    new: ClusterSnapshot,
-    delta: "SnapshotDelta",
-    *,
-    inplace: bool = True,
-) -> int:
-    """Carry every memoized :class:`LoadState` from ``old`` to ``new``.
+def _normalized(values: np.ndarray, method: str) -> np.ndarray:
+    """``mean_normalize``/``sum_normalize`` over a vector, bit for bit.
 
-    Each state is patched via :meth:`LoadState.apply_delta` and stored in
-    ``new``'s derived cache under the same memo key, so the first
-    decision against the patched snapshot is a cache hit instead of an
-    O(V²) rebuild.  Returns the number of states migrated.  With the
-    default ``inplace=True`` the old snapshot's states are consumed (see
-    :meth:`LoadState.apply_delta`); callers keep serving only ``new``.
+    The denominator is a left-to-right Python ``sum`` in vector order,
+    exactly the dict path's ``sum(values.values())`` — not NumPy's
+    pairwise sum — and the divisions are the same IEEE operations.
     """
-    src = getattr(old, "_derived_cache", None)
-    if not src:
-        return 0
-    dst = derived_cache(new)
-    moved = 0
-    for key, value in list(src.items()):
-        if (
-            isinstance(key, tuple)
-            and key
-            and key[0] == "load_state"
-            and isinstance(value, LoadState)
-        ):
-            dst[key] = value.apply_delta(new, delta, inplace=inplace)
-            moved += 1
-    return moved
+    if not len(values):
+        return values
+    total = sum(values.tolist())
+    denom = total / len(values) if method == "mean" else total
+    return values / denom if denom != 0 else np.zeros_like(values)
 
 
 def load_state(
@@ -324,11 +274,12 @@ def load_state(
 ) -> LoadState:
     """The :class:`LoadState` for ``snapshot``, memoized on the snapshot.
 
-    The cache key covers everything the arrays depend on: the node
-    subset (normalization runs over exactly the ranked set), both weight
+    Slices the snapshot's :class:`ArrayStore`: the usable names become
+    an index array, Equation 1 runs over the slice's columns and
+    Equation 2 over the measured pairs with both ends in the slice.  The
+    cache key covers everything a slice depends on: the node subset
+    (normalization runs over exactly the ranked set), both weight
     profiles, the normalization method, and the Equation-3 parameters.
-    Repeated allocations against the same snapshot — the broker's hot
-    path — skip all O(V²) Equation-1/2 work after the first call.
     """
     names = tuple(nodes) if nodes is not None else tuple(snapshot.nodes)
     cw = compute_weights or ComputeWeights()
@@ -345,14 +296,14 @@ def load_state(
     cache = derived_cache(snapshot)
     state = cache.get(key)
     if state is None:
-        state = _build_state(
+        state = _slice(
             snapshot, names, cw, nw, ppn=ppn, load_key=load_key, method=method
         )
         cache[key] = state
     return state
 
 
-def _build_state(
+def _slice(
     snapshot: ClusterSnapshot,
     names: tuple[str, ...],
     compute_weights: ComputeWeights,
@@ -362,67 +313,59 @@ def _build_state(
     load_key: str,
     method: str,
 ) -> LoadState:
-    cl = compute_loads(
-        snapshot, compute_weights, nodes=list(names), method=method
-    )
-    lat, bwc = pair_inputs(snapshot, nodes=names)
-    nl = combine_pair_costs(lat, bwc, network_weights, method=method)
-    pc_all = effective_proc_counts(snapshot, ppn=ppn, load_key=load_key)
-    pc = {n: pc_all[n] for n in names}
-
-    v = len(names)
-    index = {n: i for i, n in enumerate(names)}
-    cl_vec = np.array([cl[n] for n in names], dtype=np.float64)
-    missing_penalty = max(nl.values()) if nl else 0.0
-    nl_mat = np.full((v, v), missing_penalty, dtype=np.float64)
-    np.fill_diagonal(nl_mat, 0.0)
-    measured = np.zeros((v, v), dtype=bool)
-    pair_order = tuple(nl)
-    count = len(pair_order)
-    pair_ii = np.fromiter(
-        (index[a] for a, _ in pair_order), dtype=np.intp, count=count
-    )
-    pair_jj = np.fromiter(
-        (index[b] for _, b in pair_order), dtype=np.intp, count=count
-    )
-    if count:
-        vals = np.fromiter(
-            (nl[k] for k in pair_order), dtype=np.float64, count=count
+    if method not in NORMALIZERS:
+        raise ValueError(
+            f"unknown normalization {method!r}; choose from {sorted(NORMALIZERS)}"
         )
-        nl_mat[pair_ii, pair_jj] = vals
-        nl_mat[pair_jj, pair_ii] = vals
-        measured[pair_ii, pair_jj] = True
-        measured[pair_jj, pair_ii] = True
-    pc_vec = np.array([pc[n] for n in names], dtype=np.int64)
-    views = [snapshot.nodes[n] for n in names]
-    raw_mat = np.array(
-        [[a.extract(view) for view in views] for a in ATTRIBUTES],
-        dtype=np.float64,
+    store = array_store(snapshot)
+    v = len(names)
+    cols = np.fromiter(
+        (store.index[n] for n in names), dtype=np.intp, count=v
     )
+
+    # Equation 1 (compute_loads: to_cost + saw_scores) over the columns
+    cl_vec = np.zeros(v, dtype=np.float64)
+    for i, attr in enumerate(ATTRIBUTES):
+        w = float(compute_weights.weights.get(attr.name, 0.0))
+        if w == 0.0 or v == 0:
+            continue
+        norm = _normalized(store.raw[i, cols], method)
+        if attr.criterion is Criterion.MAXIMIZE:
+            norm = float(norm.max()) - norm
+        cl_vec += w * norm
+
+    # Equation 2 (combine_pair_costs) over pairs inside the slice
+    pos = np.full(len(store.nodes), -1, dtype=np.intp)
+    pos[cols] = np.arange(v)
+    ii, jj = pos[store.pair_ii], pos[store.pair_jj]
+    pair_sel = np.flatnonzero((ii >= 0) & (jj >= 0))
+    ii, jj = ii[pair_sel], jj[pair_sel]
+    nl_vals = network_weights.w_lt * _normalized(
+        store.lat[pair_sel], method
+    ) + network_weights.w_bw * _normalized(store.bwc[pair_sel], method)
+    penalty = float(nl_vals.max()) if len(nl_vals) else 0.0
+    nl_mat = np.full((v, v), penalty, dtype=np.float64)
+    np.fill_diagonal(nl_mat, 0.0)
+    nl_mat[ii, jj] = nl_vals
+    nl_mat[jj, ii] = nl_vals
+
+    # Equation 3, unless the request fixes processes per node
+    if ppn is None:
+        pc_vec = store.proc_counts(snapshot, load_key)[cols]
+    elif ppn <= 0:
+        raise ValueError(f"ppn must be positive, got {ppn}")
+    else:
+        pc_vec = np.full(v, ppn, dtype=np.int64)
+
     return LoadState(
         nodes=names,
-        index=index,
-        cl=cl,
-        nl=nl,
-        pc=pc,
+        index={n: i for i, n in enumerate(names)},
         cl_vec=cl_vec,
         nl_mat=nl_mat,
-        measured=measured,
-        missing_penalty=missing_penalty,
+        missing_penalty=penalty,
         pc_vec=pc_vec,
-        params=StateParams(
-            compute_weights=compute_weights,
-            network_weights=network_weights,
-            ppn=ppn,
-            load_key=load_key,
-            method=method,
-        ),
-        lat=lat,
-        bwc=bwc,
-        pair_order=pair_order,
-        pair_ii=pair_ii,
-        pair_jj=pair_jj,
-        raw_mat=raw_mat,
+        store=store,
+        pair_sel=pair_sel,
     )
 
 
@@ -583,7 +526,7 @@ def select_best_fast(
     :func:`repro.core.selection.select_best`: whenever the two best
     array totals are within ``_TIE_RTOL`` (where float summation order
     could flip the ranking), the winner is re-derived from the reference
-    dicts stored on the state.
+    dicts the state derives on demand.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -647,8 +590,8 @@ def _seed_lower_bounds(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
     ``min_u A_v(u) = min_u (α·CL[u] + β·NL[v, u])`` over ``u ≠ v`` — a
     lower bound on what seed ``v``'s candidate pays for its first grown
     member.  O(V²) once per (state, tradeoff), cached in the state's
-    scratch space; deltas reset the scratch, so the bound always matches
-    the current arrays.
+    scratch space; a state never outlives its snapshot, so the bound
+    always matches the arrays.
     """
     key = ("seed_first_addition", tradeoff.alpha)
     cached = state.scratch.get(key)

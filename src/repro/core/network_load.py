@@ -33,9 +33,9 @@ def pair_inputs(
     scan walks the measured-link keys — O(links · log links) for the
     deterministic sort — never the O(V²) candidate pairs; fleet-scale
     monitors measure a sparse subset and the federation router runs
-    this pass over the whole fleet per snapshot.  The incremental path
-    (``LoadState.apply_delta``) runs it once at build time, then patches
-    only the changed entries and re-runs :func:`combine_pair_costs`.
+    this pass over the whole fleet per snapshot.  The array path
+    (:func:`repro.core.arrays.array_store`) runs it once per snapshot
+    lineage; deltas then patch only the changed entries of its vectors.
     """
     keep = None if nodes is None else frozenset(nodes)
     lat: dict[PairKey, float] = {}

@@ -1,32 +1,22 @@
-"""Partitioned LoadState view — per-shard arrays over one snapshot.
+"""Per-shard scoring aggregates over one snapshot.
 
 The federation router never runs Algorithms 1–2 over the whole fleet;
-that is exactly the per-decision ceiling sharding removes.  Two layers
-live here:
+that is exactly the per-decision ceiling sharding removes.  Each shard's
+:class:`~repro.broker.service.BrokerService` decides placements on its
+own sliced snapshot.  The router only needs
+:meth:`PartitionedLoadState.aggregates`: per shard, total/free cores,
+mean Equation-1 CL and mean Equation-2 NL per subtree, and quarantine
+counts.
 
-* :meth:`PartitionedLoadState.state` — the *descent* arrays: one full
-  :class:`~repro.core.arrays.LoadState` per shard, normalized over its
-  own subtree (Equations 1–3 over O((V/N)²) pairs instead of O(V²)),
-  built lazily and memoized on the snapshot like every other state.
-  This is what each shard's :class:`~repro.broker.service.BrokerService`
-  decides placements with.
-* :meth:`PartitionedLoadState.aggregates` — the *scoring* inputs: per
-  shard, total/free cores, mean Equation-1 CL and mean Equation-2 NL
-  per subtree, and quarantine counts.  The CL/NL means come from one
-  **fleet-wide** Equation-1/2 pass (O(V + measured links), paid once
-  per instance and advanced in O(changed) across delta-patched
-  snapshots via :meth:`PartitionedLoadState.advance`) rather than from
-  the per-shard states: Equation 1/2 normalize *within* the ranked set,
-  so per-shard means would hover around 1.0 for every shard and carry
-  no cross-shard signal — the global pass makes subtree means directly
-  comparable.
-
-The fleet pass is kept as dense vectors (an attributes×nodes raw
-matrix, measured-pair latency/bandwidth-complement vectors) so both the
-initial build and every per-delta patch run as a handful of numpy
-operations rather than Python-level dict sweeps — at fleet scale the
-router consults aggregates once per request, and this pass must not
-cost O(V) Python operations per consultation.
+The CL/NL means come from one **fleet-wide** Equation-1/2 pass rather
+than from per-shard states: Equation 1/2 normalize *within* the ranked
+set, so per-shard means would hover around 1.0 for every shard and
+carry no cross-shard signal — the global pass makes subtree means
+directly comparable.  The pass reads the raw inputs from the
+snapshot's :class:`~repro.core.arrays.ArrayStore` — which
+:func:`~repro.monitor.delta.apply_snapshot_delta` already patched in
+O(changed) — and runs as a handful of numpy operations, so the router
+pays no O(V) Python work per snapshot.
 """
 
 from __future__ import annotations
@@ -36,16 +26,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.arrays import LoadState, load_state
+from repro.core.arrays import ArrayStore, array_store
 from repro.core.attributes import ATTRIBUTES, Criterion
-from repro.core.effective_procs import (
-    effective_proc_count,
-    effective_proc_counts,
-)
-from repro.core.network_load import PairKey, pair_inputs
 from repro.core.weights import ComputeWeights, NetworkWeights
-from repro.monitor.delta import SnapshotDelta
 from repro.monitor.snapshot import ClusterSnapshot
+
+#: (store, store column → live position or -1, CL over the live nodes,
+#: store positions of the live pairs, NL over them, PC per store column)
+_FleetPass = tuple[
+    ArrayStore, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]
 
 
 @dataclass(frozen=True)
@@ -84,15 +74,51 @@ class ShardAggregate:
         }
 
 
+def _combine_cl(raw: np.ndarray, cols: np.ndarray, cw: ComputeWeights) -> np.ndarray:
+    """Equation 1 over ``raw``'s ``cols`` — vectorized ``compute_loads``.
+
+    Mirrors ``to_cost`` (mean-normalize, complement maximization
+    attributes to the normalized maximum) and ``saw_scores`` (weight and
+    sum); the means are NumPy's, the router's own scoring arithmetic.
+    """
+    v = len(cols)
+    cl = np.zeros(v, dtype=np.float64)
+    if v == 0:
+        return cl
+    for i, attr in enumerate(ATTRIBUTES):
+        w = float(cw.weights.get(attr.name, 0.0))
+        if w == 0.0:
+            continue
+        column = raw[i, cols]
+        mean = float(column.mean())
+        norm = column / mean if mean != 0.0 else np.zeros(v, dtype=np.float64)
+        if attr.criterion is Criterion.MAXIMIZE:
+            norm = norm.max() - norm
+        cl += w * norm
+    return cl
+
+
+def _combine_nl(lat: np.ndarray, bwc: np.ndarray, nw: NetworkWeights) -> np.ndarray:
+    """Equation 2 over pair vectors — vectorized ``combine_pair_costs``
+    with mean normalization."""
+    e = len(lat)
+    if e == 0:
+        return np.zeros(0, dtype=np.float64)
+    lat_mean = float(lat.mean())
+    bwc_mean = float(bwc.mean())
+    lat_n = lat / lat_mean if lat_mean != 0.0 else np.zeros(e, dtype=np.float64)
+    bwc_n = bwc / bwc_mean if bwc_mean != 0.0 else np.zeros(e, dtype=np.float64)
+    return nw.w_lt * lat_n + nw.w_bw * bwc_n
+
+
 class PartitionedLoadState:
-    """Per-shard :class:`LoadState` composition over one snapshot.
+    """Per-shard aggregates over one snapshot's store.
 
     ``partition`` maps shard name → node names; nodes the snapshot does
     not know (or that are not live) simply drop out of that shard's
     view.  Everything derived is memoized on the instance (one instance
     per snapshot), so a router consulting aggregates many times per
-    snapshot pays each build exactly once — and :meth:`advance` carries
-    the expensive parts to the next snapshot in O(changed).
+    snapshot pays each pass exactly once.
     """
 
     def __init__(
@@ -118,28 +144,13 @@ class PartitionedLoadState:
         self._nw = network_weights or NetworkWeights()
         self._ppn = ppn
         self._load_key = load_key
-        # per-instance memos: the snapshot is fixed for this object's
-        # lifetime, so live-node filtering and the fleet pass happen once
         self._live_list: list[str] | None = None
         self._live_set: frozenset[str] = frozenset()
-        # fleet-pass vectors; the raw inputs are kept so :meth:`advance`
-        # can patch them per delta instead of re-extracting the fleet
-        self._index: dict[str, int] = {}
-        self._raw_mat: np.ndarray | None = None  # (attributes, V)
-        self._pair_order: tuple[PairKey, ...] = ()
-        self._pair_index: dict[PairKey, int] = {}
-        self._lat_vec: np.ndarray | None = None
-        self._bwc_vec: np.ndarray | None = None
-        self._cl_vec: np.ndarray | None = None
-        self._nl_vec: np.ndarray | None = None
-        self._pc: dict[str, int] | None = None
-        # chain-invariant per-shard facts (member/pair index arrays) —
-        # safe to carry across :meth:`advance`
-        self._shard_topo: dict[
-            str, tuple[int, int, tuple[str, ...], np.ndarray, np.ndarray]
+        self._fleet: _FleetPass | None = None
+        # shard → (present, total cores, live members, mean CL, mean NL)
+        self._shard_facts: dict[
+            str, tuple[int, int, tuple[str, ...], float, float]
         ] = {}
-        # per-snapshot per-shard means — never carried across advance
-        self._shard_means: dict[str, tuple[float, float]] = {}
 
     def _live(self) -> list[str]:
         if self._live_list is None:
@@ -163,202 +174,66 @@ class PartitionedLoadState:
             n for n in self.partition[shard] if n in self._live_set
         )
 
-    def state(self, shard: str) -> LoadState | None:
-        """The shard's descent LoadState, or ``None`` with no live node."""
-        nodes = self.live_nodes(shard)
-        if not nodes:
-            return None
-        return load_state(
-            self.snapshot,
-            nodes=nodes,
-            compute_weights=self._cw,
-            network_weights=self._nw,
-            ppn=self._ppn,
-            load_key=self._load_key,
-        )
-
     # -- fleet-wide scoring pass ----------------------------------------
-    def _ensure_fleet(self) -> None:
-        """Build the fleet CL/NL/PC vectors once per instance."""
-        if self._cl_vec is not None:
-            return
-        live = self._live()
-        self._index = {n: i for i, n in enumerate(live)}
-        views = [self.snapshot.nodes[n] for n in live]
-        self._raw_mat = np.array(
-            [[a.extract(v) for v in views] for a in ATTRIBUTES],
-            dtype=np.float64,
-        )
-        lat, bwc = pair_inputs(self.snapshot, nodes=live)
-        self._pair_order = tuple(lat)
-        self._pair_index = {k: j for j, k in enumerate(self._pair_order)}
-        self._lat_vec = np.fromiter(
-            lat.values(), dtype=np.float64, count=len(lat)
-        )
-        self._bwc_vec = np.fromiter(
-            bwc.values(), dtype=np.float64, count=len(bwc)
-        )
-        self._pc = effective_proc_counts(
-            self.snapshot, ppn=self._ppn, load_key=self._load_key
-        )
-        self._nl_vec = self._combine_nl()
-        self._cl_vec = self._combine_cl()
-
-    def _combine_cl(self) -> np.ndarray:
-        """Equation 1 over the raw matrix — vectorized ``compute_loads``.
-
-        Mirrors ``to_cost`` (mean-normalize, complement maximization
-        attributes to the normalized maximum) and ``saw_scores`` (weight
-        and sum), so the per-node values match a dict-based rebuild.
-        """
-        assert self._raw_mat is not None
-        v = self._raw_mat.shape[1]
-        cl = np.zeros(v, dtype=np.float64)
-        if v == 0:
-            return cl
-        weights = self._cw.weights
-        for i, attr in enumerate(ATTRIBUTES):
-            w = float(weights.get(attr.name, 0.0))
-            if w == 0.0:
-                continue
-            column = self._raw_mat[i]
-            mean = float(column.mean())
-            norm = (
-                column / mean
-                if mean != 0.0
-                else np.zeros(v, dtype=np.float64)
+    def _fleet_pass(self) -> _FleetPass:
+        """The fleet CL/NL/PC vectors over the live nodes, once per instance."""
+        if self._fleet is None:
+            store = array_store(self.snapshot)
+            live = self._live()
+            cols = np.fromiter(
+                (store.index[n] for n in live), dtype=np.intp, count=len(live)
             )
-            if attr.criterion is Criterion.MAXIMIZE:
-                norm = norm.max() - norm
-            cl += w * norm
-        return cl
+            pos = np.full(len(store.nodes), -1, dtype=np.intp)
+            pos[cols] = np.arange(len(cols))
+            pairs = np.flatnonzero(
+                (pos[store.pair_ii] >= 0) & (pos[store.pair_jj] >= 0)
+            )
+            if self._ppn is None:
+                pc = store.proc_counts(self.snapshot, self._load_key)
+            else:
+                pc = np.full(len(store.nodes), self._ppn, dtype=np.int64)
+            self._fleet = (
+                store,
+                pos,
+                _combine_cl(store.raw, cols, self._cw),
+                pairs,
+                _combine_nl(store.lat[pairs], store.bwc[pairs], self._nw),
+                pc,
+            )
+        return self._fleet
 
-    def _combine_nl(self) -> np.ndarray:
-        """Equation 2 over the pair vectors — vectorized
-        ``combine_pair_costs`` with mean normalization."""
-        assert self._lat_vec is not None and self._bwc_vec is not None
-        e = len(self._lat_vec)
-        if e == 0:
-            return np.zeros(0, dtype=np.float64)
-        lat_mean = float(self._lat_vec.mean())
-        bwc_mean = float(self._bwc_vec.mean())
-        lat_n = (
-            self._lat_vec / lat_mean
-            if lat_mean != 0.0
-            else np.zeros(e, dtype=np.float64)
-        )
-        bwc_n = (
-            self._bwc_vec / bwc_mean
-            if bwc_mean != 0.0
-            else np.zeros(e, dtype=np.float64)
-        )
-        return self._nw.w_lt * lat_n + self._nw.w_bw * bwc_n
-
-    def advance(
-        self, snapshot: ClusterSnapshot, delta: SnapshotDelta
-    ) -> "PartitionedLoadState":
-        """The O(changed) successor over a delta-patched snapshot.
-
-        ``snapshot`` must be exactly one generation ahead of this
-        instance's snapshot on the same lineage (the caller verifies via
-        :func:`repro.monitor.delta.snapshot_step_delta`), so the node
-        set, livehosts, and measured-pair sets are unchanged: only the
-        changed raw entries are re-extracted, then the cheap vectorized
-        normalize-and-combine passes re-run.  The result matches a
-        fresh build over ``snapshot``.
-        """
-        nxt = PartitionedLoadState(
-            snapshot,
-            self.partition,
-            compute_weights=self._cw,
-            network_weights=self._nw,
-            ppn=self._ppn,
-            load_key=self._load_key,
-        )
-        if self._cl_vec is None:
-            return nxt  # nothing derived yet — build lazily as usual
-        assert self._raw_mat is not None
-        assert self._lat_vec is not None and self._bwc_vec is not None
-        assert self._pc is not None
-        nxt._live_list = self._live_list
-        nxt._live_set = self._live_set
-        nxt._index = self._index
-        nxt._pair_order = self._pair_order
-        nxt._pair_index = self._pair_index
-        nxt._shard_topo = self._shard_topo
-
-        changed = [n for n in delta.nodes if n in self._index]
-        raw = self._raw_mat
-        if changed:
-            raw = raw.copy()
-            for n in changed:
-                view = snapshot.nodes[n]
-                j = self._index[n]
-                for i, attr in enumerate(ATTRIBUTES):
-                    if not attr.static:
-                        # a chaining delta cannot move static specs
-                        raw[i, j] = attr.extract(view)
-        nxt._raw_mat = raw
-
-        touched = [
-            k
-            for k in {*delta.latency_us, *delta.bandwidth_mbs}
-            if k in self._pair_index
-        ]
-        lat_vec, bwc_vec = self._lat_vec, self._bwc_vec
-        if touched:
-            lat_vec, bwc_vec = lat_vec.copy(), bwc_vec.copy()
-            for key in touched:
-                j = self._pair_index[key]
-                lat_vec[j] = snapshot.latency(*key)
-                bwc_vec[j] = snapshot.bandwidth_complement(*key)
-        nxt._lat_vec, nxt._bwc_vec = lat_vec, bwc_vec
-
-        pc = self._pc
-        if self._ppn is None and changed:
-            pc = dict(pc)
-            for n in changed:
-                view = snapshot.nodes[n]
-                pc[n] = effective_proc_count(
-                    view.cores, float(view.cpu_load[self._load_key])
-                )
-        nxt._pc = pc
-        nxt._cl_vec = nxt._combine_cl() if changed else self._cl_vec
-        nxt._nl_vec = nxt._combine_nl() if touched else self._nl_vec
-        return nxt
-
-    def _topo(
+    def _shard(
         self, shard: str
-    ) -> tuple[int, int, tuple[str, ...], np.ndarray, np.ndarray]:
-        """(present, total_cores, live members, member idx, intra pair
-        idx) — all chain-invariant, so the memo survives advance."""
-        topo = self._shard_topo.get(shard)
-        if topo is None:
+    ) -> tuple[int, int, tuple[str, ...], float, float]:
+        """(present, total cores, live members, mean CL, mean NL)."""
+        facts = self._shard_facts.get(shard)
+        if facts is None:
+            store, pos, cl, pairs, nl, _ = self._fleet_pass()
             present = [
                 n for n in self.partition[shard] if n in self.snapshot.nodes
             ]
             live = self.live_nodes(shard)
-            members = frozenset(live)
-            member_idx = np.fromiter(
-                (self._index[n] for n in live), dtype=np.intp, count=len(live)
+            cols = [store.index[n] for n in live]
+            member = np.zeros(len(store.nodes), dtype=bool)
+            member[cols] = True
+            intra = np.flatnonzero(
+                member[store.pair_ii[pairs]] & member[store.pair_jj[pairs]]
             )
-            intra_idx = np.fromiter(
-                (
-                    j
-                    for j, k in enumerate(self._pair_order)
-                    if k[0] in members and k[1] in members
-                ),
-                dtype=np.intp,
-            )
-            topo = (
+            if len(intra):
+                mean_nl = float(nl[intra].mean())
+            elif len(nl):
+                mean_nl = float(nl.mean())
+            else:
+                mean_nl = 0.0
+            facts = (
                 len(present),
                 sum(self.snapshot.nodes[n].cores for n in present),
                 live,
-                member_idx,
-                intra_idx,
+                float(cl[pos[cols]].mean()) if cols else 0.0,
+                mean_nl,
             )
-            self._shard_topo[shard] = topo
-        return topo
+            self._shard_facts[shard] = facts
+        return facts
 
     def aggregate(
         self,
@@ -368,41 +243,18 @@ class PartitionedLoadState:
         quarantined: frozenset[str] = frozenset(),
     ) -> ShardAggregate:
         """The shard's scoring aggregates under the given exclusions."""
-        self._ensure_fleet()
-        assert self._cl_vec is not None and self._nl_vec is not None
-        assert self._pc is not None
-        n_present, total_cores, live, member_idx, intra_idx = self._topo(
-            shard
-        )
-        means = self._shard_means.get(shard)
-        if means is None:
-            if len(intra_idx):
-                mean_nl = float(self._nl_vec[intra_idx].mean())
-            elif len(self._nl_vec):
-                mean_nl = float(self._nl_vec.mean())
-            else:
-                mean_nl = 0.0
-            means = (
-                (
-                    float(self._cl_vec[member_idx].mean())
-                    if len(member_idx)
-                    else 0.0
-                ),
-                mean_nl,
-            )
-            self._shard_means[shard] = means
+        store, *_, pc = self._fleet_pass()
+        n_present, total_cores, live, mean_cl, mean_nl = self._shard(shard)
         blocked = held | quarantined
-        pc = self._pc
+        usable = [store.index[n] for n in live if n not in blocked]
         return ShardAggregate(
             shard=shard,
             n_nodes=n_present,
-            usable_nodes=sum(1 for n in live if n not in blocked),
+            usable_nodes=len(usable),
             total_cores=total_cores,
-            free_procs=int(
-                sum(int(pc[n]) for n in live if n not in blocked)
-            ),
-            mean_cl=means[0],
-            mean_nl=means[1],
+            free_procs=int(sum(pc[usable].tolist())),
+            mean_cl=mean_cl,
+            mean_nl=mean_nl,
             quarantined=sum(
                 1
                 for n in self.partition[shard]

@@ -230,26 +230,23 @@ class FederationRouter:
             raise ProtocolError(ErrorCode.MONITOR_STALE, str(exc)) from None
         if snapshot is not self._plist_snapshot or self._plist is None:
             step = None
-            if self._plist is not None and self._plist_snapshot is not None:
+            if self._plist_snapshot is not None:
                 step = snapshot_step_delta(snapshot, self._plist_snapshot)
             if step is not None:
-                # one generation ahead on the same lineage: patch the
-                # fleet arrays in O(changed) and log the step so shard
-                # slices can catch up by delta composition
-                self._plist = self._plist.advance(snapshot, step)
+                # one generation ahead on the same lineage: log the step
+                # so shard slices can catch up by delta composition
                 serial, generation, _ = snapshot_lineage(snapshot)
                 self._delta_log[(serial, generation)] = step
                 while len(self._delta_log) > _DELTA_LOG_CAP:
                     self._delta_log.popitem(last=False)
-            else:
-                self._plist = PartitionedLoadState(
-                    snapshot,
-                    self.partition,
-                    compute_weights=self._cw,
-                    network_weights=self._nw,
-                    ppn=self._ppn,
-                    load_key=self._load_key,
-                )
+            self._plist = PartitionedLoadState(
+                snapshot,
+                self.partition,
+                compute_weights=self._cw,
+                network_weights=self._nw,
+                ppn=self._ppn,
+                load_key=self._load_key,
+            )
             self._plist_snapshot = snapshot
         return self._plist
 

@@ -14,11 +14,11 @@ This module provides the three pieces of the incremental path:
   *structural* change (nodes/pairs/livehosts appeared or vanished,
   static specs changed) that requires a full rebuild.
 * :func:`apply_snapshot_delta` — patch the previous snapshot into a new
-  immutable :class:`~repro.monitor.snapshot.ClusterSnapshot`, migrate
-  its cached :class:`~repro.core.arrays.LoadState` objects via
-  ``LoadState.apply_delta`` (O(changed) instead of O(V²)), and stamp the
-  new snapshot's *lineage* so the broker's decision memo can invalidate
-  exactly the affected entries.
+  immutable :class:`~repro.monitor.snapshot.ClusterSnapshot`, patch its
+  one :class:`~repro.core.arrays.ArrayStore` (O(changed) instead of a
+  rebuild; decisions on the new snapshot slice the patched store), and
+  stamp the new snapshot's *lineage* so the broker's decision memo can
+  invalidate exactly the affected entries.
 
 Lineage: every snapshot belongs to a ``(serial, generation)`` line.  A
 full rebuild starts a new serial at generation 0; each applied delta
@@ -252,23 +252,17 @@ def snapshot_step_delta(
 
 
 def apply_snapshot_delta(
-    old: ClusterSnapshot,
-    delta: SnapshotDelta,
-    *,
-    migrate: bool = True,
-    inplace: bool = True,
+    old: ClusterSnapshot, delta: SnapshotDelta
 ) -> ClusterSnapshot:
-    """Patch ``old`` into a new snapshot and migrate its cached states.
+    """Patch ``old`` into a new snapshot that carries ``old``'s store.
 
     The returned snapshot is a fresh immutable object whose maps share
-    unchanged entries with ``old``.  With ``migrate`` (default), every
-    ``LoadState`` memoized on ``old`` is carried over via
-    ``LoadState.apply_delta`` — O(changed nodes + measured links)
-    instead of the O(V²) ``_build_state`` pair scan.  ``inplace``
-    forwards to ``apply_delta``: the migrated states may reuse (and
-    mutate) the old states' array buffers, so the *old snapshot must be
-    dropped* after this call — exactly what
-    :class:`~repro.monitor.snapshot.CachedSnapshotSource` does.
+    unchanged entries with ``old``.  When ``old`` has an
+    :class:`~repro.core.arrays.ArrayStore`, it is patched once,
+    copy-on-write, in O(changed nodes + measured links) and installed on
+    the new snapshot.  Per-request slices (``LoadState``) stay behind
+    with ``old``: the first decision on the new snapshot cuts its own
+    from the patched store.  ``old`` and its store stay valid.
     """
     patched = ClusterSnapshot(
         time=delta.time,
@@ -282,10 +276,11 @@ def apply_snapshot_delta(
     cache = derived_cache(patched)
     cache[_LINEAGE_KEY] = (serial, generation + 1, delta.affected_nodes())
     cache[_STEP_DELTA_KEY] = delta
-    if migrate:
-        # Local import: arrays.py imports the snapshot module at import
-        # time, so the dependency must stay one-way at module load.
-        from repro.core.arrays import migrate_states
+    # Local import: arrays.py imports the snapshot module at import
+    # time, so the dependency must stay one-way at module load.
+    from repro.core.arrays import STORE_KEY
 
-        migrate_states(old, patched, delta, inplace=inplace)
+    store = derived_cache(old).get(STORE_KEY)
+    if store is not None:
+        cache[STORE_KEY] = store.patched(patched, delta)
     return patched

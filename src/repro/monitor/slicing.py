@@ -12,10 +12,11 @@ projects a :class:`~repro.monitor.delta.SnapshotDelta` the same way; and
 :class:`~repro.monitor.snapshot.CachedSnapshotSource`) into a shard-local
 source that keeps the incremental hot path alive: when the parent serves
 the same object, the previous slice is returned identity-equal (so every
-``derived_cache`` memo — LoadStates, lineage — survives), and when the
-parent advanced, the new slice is produced by delta-patching the old one
-(``compute_delta`` → ``apply_snapshot_delta``) so the shard's cached
-LoadStates migrate in O(changed) instead of rebuilding O((V/N)²).
+``derived_cache`` memo — array store, LoadState slices, lineage —
+survives), and when the parent advanced, the new slice is produced by
+delta-patching the old one (``compute_delta`` → ``apply_snapshot_delta``)
+so the shard's array store is patched once in O(changed) instead of
+rebuilt.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ShardSnapshotSource:
     * same parent object → the previous slice, identity-equal
       (``reuses`` counter);
     * parent advanced without structural change → the old slice is
-      delta-patched into the new one, migrating its cached LoadStates
+      delta-patched into the new one, patching its array store once
       (``deltas`` counter);
     * structural change (nodes/links/livehosts appeared or vanished) →
       a fresh slice from scratch (``rebuilds`` counter).
@@ -123,7 +124,7 @@ class ShardSnapshotSource:
         Tries, in order: identity reuse; the one-step delta stashed on
         ``parent`` by :func:`~repro.monitor.delta.apply_snapshot_delta`
         (O(changed), no re-diffing); a full reslice with a slice-level
-        diff so the shard's cached LoadStates still migrate.
+        diff so the shard's array store is still patched, not rebuilt.
         """
         if parent is self._parent and self._sliced is not None:
             self.reuses += 1

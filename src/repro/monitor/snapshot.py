@@ -336,8 +336,8 @@ class CachedSnapshotSource:
     nor serve an arbitrarily old one.  This wrapper memoizes the last
     snapshot and rebuilds only when it is older than ``max_age_s`` by the
     injected ``clock`` — so every request decided within one freshness
-    window shares one snapshot object *and therefore one cached
-    LoadState*.
+    window shares one snapshot object *and therefore one array store and
+    its memoized slices*.
 
     ``refresh_hook`` (optional) runs right before each rebuild; the serve
     command uses it to advance the simulated cluster so monitor daemons
@@ -351,15 +351,17 @@ class CachedSnapshotSource:
     answer with a typed denial.  ``None`` (default) keeps the historical
     fail-fast behaviour.
 
-    ``incremental`` turns on the PR-6 delta path: each refresh diffs the
+    ``incremental`` turns on the delta path: each refresh diffs the
     freshly built snapshot against the one currently being served
     (:func:`repro.monitor.delta.compute_delta` with the two thresholds)
     and serves a *patched* snapshot that carries the previous snapshot's
-    migrated ``LoadState`` arrays and a ``(serial, generation)`` lineage
-    — so neither the allocator's Equation-1/2 arrays nor the broker's
-    decision memo restart from zero.  Structural changes (nodes, links,
-    or livehosts appearing/vanishing) fall back to a full rebuild; an
-    empty delta keeps serving the existing snapshot object unchanged.
+    array store, patched once in O(changed), and a ``(serial,
+    generation)`` lineage — so neither the allocator's raw Equation-1/2
+    inputs nor the broker's decision memo restart from zero.  Decisions
+    on the patched snapshot cut fresh slices of the store.  Structural
+    changes (nodes, links, or livehosts appearing/vanishing) fall back
+    to a full rebuild; an empty delta keeps serving the existing
+    snapshot object unchanged.
     """
 
     def __init__(

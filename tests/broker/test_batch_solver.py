@@ -146,15 +146,17 @@ class TestPriorityOrdering:
     def test_high_priority_gets_the_good_nodes(self, scenario, clock):
         """Decided first → the lightly loaded nodes, despite arriving last."""
         alpha = 0.3
+        # 16 processes at ppn=4 fill 4 nodes: two such jobs fit the
+        # 8-node cluster without either exceeding its ppn
         probe = sealed_service(scenario, clock)
         best = grant_of(
             probe.allocate_batch(
-                [AllocateParams(n_processes=24, ppn=4, alpha=alpha)]
+                [AllocateParams(n_processes=16, ppn=4, alpha=alpha)]
             )[0]
         )
         service = sealed_service(scenario, clock)
-        low = AllocateParams(n_processes=24, ppn=4, alpha=alpha, priority=0.0)
-        high = AllocateParams(n_processes=24, ppn=4, alpha=alpha, priority=5.0)
+        low = AllocateParams(n_processes=16, ppn=4, alpha=alpha, priority=0.0)
+        high = AllocateParams(n_processes=16, ppn=4, alpha=alpha, priority=5.0)
         first, second = service.allocate_batch([low, high])
         g_low, g_high = grant_of(first), grant_of(second)
         # results stay in arrival order, but the high-priority job got

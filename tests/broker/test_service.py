@@ -239,3 +239,34 @@ class TestCachedSnapshotSource:
         assert any(
             k[0] == "load_state" for k in derived_cache(s1)
         )
+
+
+@pytest.fixture(scope="module")
+def paper_tree_snapshot():
+    from repro.scenarios import get_scenario
+
+    return get_scenario("paper-tree").build(seed=0).snapshot()
+
+
+class TestExplicitPpnIsACap:
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_over_ppn_request_is_denied(self, paper_tree_snapshot, memoize):
+        """Regression: 56 processes at ppn=1 leave 4 of the 60 nodes; 16
+        processes at ppn=2 used to be granted as 4 nodes × 4 processes
+        (Algorithm 1's round-robin remainder) instead of being denied."""
+        service = BrokerService(
+            lambda: paper_tree_snapshot, memoize_decisions=memoize
+        )
+        first = grant_of(
+            service.allocate_batch([AllocateParams(n_processes=56, ppn=1)])[0]
+        )
+        assert len(first["nodes"]) == 56
+        out = service.allocate_batch(
+            [AllocateParams(n_processes=16, ppn=2)]
+        )[0]
+        assert isinstance(out, ProtocolError)
+        assert out.code == ErrorCode.NO_CAPACITY
+        fits = grant_of(
+            service.allocate_batch([AllocateParams(n_processes=8, ppn=2)])[0]
+        )
+        assert sorted(fits["procs"].values()) == [2, 2, 2, 2]

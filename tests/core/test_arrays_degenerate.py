@@ -70,6 +70,15 @@ def _snapshot(
     )
 
 
+def _measured(state) -> np.ndarray:
+    """(V, V) mask of the slice's measured pairs — the keys of ``nl``."""
+    mask = np.zeros(state.nl_mat.shape, dtype=bool)
+    for a, b in state.nl:
+        i, j = state.index[a], state.index[b]
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
 def _both_paths(snap: ClusterSnapshot, request: AllocationRequest):
     a = NetworkLoadAwarePolicy(use_arrays=True).allocate(snap, request)
     b = NetworkLoadAwarePolicy(use_arrays=False).allocate(snap, request)
@@ -122,7 +131,7 @@ class TestDegenerateNormalization:
         )
         assert fast == ref
         assert state.missing_penalty == max(state.nl.values())
-        assert not state.measured[2:, 2:].any()
+        assert not _measured(state)[2:, 2:].any()
         _both_paths(snap, AllocationRequest(n_processes=6, ppn=2))
 
     def test_all_zero_everything_is_pure_tie_break(self):
@@ -162,8 +171,9 @@ class TestLoadStateShape:
         assert state.nl_mat.shape == (4, 4)
         assert np.allclose(state.nl_mat, state.nl_mat.T)
         assert np.all(np.diag(state.nl_mat) == 0.0)
-        assert state.measured.sum() == 2 * len(rngpairs)
+        measured = _measured(state)
+        assert measured.sum() == 2 * len(rngpairs)
         # Unmeasured off-diagonal entries hold the worst observed load.
         off_diag = ~np.eye(4, dtype=bool)
-        unmeasured = off_diag & ~state.measured
+        unmeasured = off_diag & ~measured
         assert np.all(state.nl_mat[unmeasured] == state.missing_penalty)

@@ -199,3 +199,22 @@ class TestCrossShardSizing:
         rows = router.shards()["shards"]
         assert all(n > row["free_procs"] for row in rows)
         assert n <= sum(row["free_procs"] for row in rows)
+
+
+class TestExplicitPpnAcrossShards:
+    def test_over_ppn_request_is_split_not_oversubscribed(self, small_sc):
+        """No single 4-node shard fits 12 processes at ppn=2: each shard
+        denies, and the router splits the job across shards instead of
+        a shard packing 3 processes onto a node."""
+        router = make_federation(small_sc, 4)
+        assert all(
+            row["n_nodes"] * 2 < 12 for row in router.shards()["shards"]
+        )
+        out = router.allocate_batch(
+            [AllocateParams(n_processes=12, ppn=2, alpha=0.3, ttl_s=TTL)]
+        )[0]
+        assert not isinstance(out, ProtocolError), out
+        assert out["lease_id"].startswith("x:") and len(out["shards"]) >= 2
+        assert router.spills > 0
+        assert sum(out["procs"].values()) == 12
+        assert max(out["procs"].values()) <= 2

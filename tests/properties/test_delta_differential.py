@@ -1,18 +1,19 @@
 """Differential fuzz: incremental delta application ≡ full rebuild.
 
-The incremental hot path (``compute_delta`` → ``apply_snapshot_delta``
-→ ``LoadState.apply_delta``) must be *bit-identical* to throwing the old
-snapshot away and rebuilding every derived array from the new one.  The
-sweep drives randomized delta sequences — node-load drift, link drift,
-both, neither — over random clusters and compares the migrated state
-against a from-scratch rebuild after every step: CL/NL/PC arrays with
-exact equality, and the resulting allocation decision for a spread of
-request shapes.
+The incremental hot path (``compute_delta`` → ``apply_snapshot_delta``,
+which patches the snapshot's array store, → a ``load_state`` slice of
+the patched store) must be *bit-identical* to throwing the old snapshot
+away and rebuilding every derived array from the new one.  The sweep
+drives randomized delta sequences — node-load drift, link drift, both,
+neither — over random clusters and compares the patched state against a
+from-scratch rebuild after every step: CL/NL/PC arrays with exact
+equality, and the resulting allocation decision for a spread of request
+shapes.
 
-Edges covered explicitly: the empty delta (state object reused, not
-copied), the everything-changed delta (every node and every measured
-link moves), and structural changes (which must refuse to produce a
-delta at all).
+Edges covered explicitly: the empty delta (the served snapshot, and so
+its state object, is kept), the everything-changed delta (every node and
+every measured link moves), and structural changes (which must refuse to
+produce a delta at all).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.monitor.delta import (
     compute_delta,
     snapshot_lineage,
 )
-from repro.monitor.snapshot import ClusterSnapshot, NodeView
+from repro.monitor.snapshot import CachedSnapshotSource, ClusterSnapshot, NodeView
 
 from tests.core.test_array_equivalence import random_snapshot
 
@@ -152,20 +153,30 @@ class TestDeltaEqualsRebuild:
         twin = _fresh_copy(snap)
         delta = compute_delta(snap, twin)
         assert delta is not None and delta.is_empty
-        assert state.apply_delta(snap, delta) is state
-        assert state.generation == 0
+        frames = iter([snap, twin])
+        source = CachedSnapshotSource(
+            lambda: next(frames),
+            max_age_s=0.5,
+            clock=iter([0.0, 1.0]).__next__,
+            incremental=True,
+        )
+        assert source() is snap
+        assert source() is snap  # the empty delta keeps the served snapshot
+        assert source.deltas_empty == 1
+        assert load_state(snap, **_state_kwargs(snap)) is state
+        assert snapshot_lineage(snap)[1] == 0
 
     def test_every_node_changed_delta(self):
         rng = np.random.default_rng(8)
         snap = random_snapshot(rng, 10, missing_fraction=0.1)
-        state = load_state(snap, **_state_kwargs(snap))
+        load_state(snap, **_state_kwargs(snap))
         target = perturb(rng, snap, node_fraction=1.0, link_fraction=1.0)
         delta = compute_delta(snap, target)
         assert delta is not None
         assert delta.affected_nodes() == frozenset(snap.nodes)
         patched = apply_snapshot_delta(snap, delta)
         migrated = load_state(patched, **_state_kwargs(patched))
-        assert migrated.generation == state.generation + 1
+        assert snapshot_lineage(patched)[1] == snapshot_lineage(snap)[1] + 1
         rebuilt = load_state(_fresh_copy(patched), **_state_kwargs(patched))
         assert_states_identical(migrated, rebuilt)
 
@@ -177,8 +188,6 @@ class TestDeltaEqualsRebuild:
             target = perturb(rng, snap, node_fraction=0.5, link_fraction=0.5)
             delta = compute_delta(snap, target)
             snap = apply_snapshot_delta(snap, delta)
-            state = load_state(snap, **_state_kwargs(snap))
-            assert state.generation == expected_gen
             serial, gen, affected = snapshot_lineage(snap)
             assert gen == expected_gen and affected == delta.affected_nodes()
 

@@ -26,6 +26,26 @@ class TestParser:
         assert args.policy == "network_load_aware"
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("command", ["allocate", "simulate", "compare"])
+    @pytest.mark.parametrize(
+        "bad",
+        [["-n", "0"], ["--ppn", "0"], ["--alpha", "1.5"]],
+        ids=["procs-0", "ppn-0", "alpha-1.5"],
+    )
+    def test_bad_value_exits_2_with_usage(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *bad, *FAST])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {bad[0]}" in err or "argument -n/--procs" in err
+
+    def test_federate_keeps_ppn_zero(self):
+        args = build_parser().parse_args(["federate", "--ppn", "0"])
+        assert args.ppn == 0
+
+
 class TestAllocate:
     def test_prints_hostfile(self, capsys):
         assert main(["allocate", "-n", "8", "--seed", "1", *FAST]) == 0

@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: all test lint race typecheck bench bench-full bench-smoke bench-json elastic fleet chaos chaos-smoke scenarios examples clean
+.PHONY: all test lint race typecheck bench bench-full bench-smoke bench-json elastic chaos chaos-smoke scenarios examples clean
 
 all: test lint typecheck scenarios
 
@@ -45,12 +45,11 @@ bench-smoke:
 
 # Machine-readable timings for trajectory tracking (compare
 # BENCH_allocator.json / BENCH_broker.json / BENCH_elastic.json /
-# BENCH_hotpath.json / BENCH_federation.json / BENCH_fleet.json /
-# BENCH_scenarios.json across commits; see docs/PERFORMANCE.md,
-# docs/BROKER.md, docs/ELASTIC.md, docs/FEDERATION.md, docs/FLEET.md
-# and docs/SCENARIOS.md).  bench_broker runs before
-# bench_hotpath: the hotpath transport floor is a ratio against the
-# JSON-lines number bench_broker just wrote.
+# BENCH_hotpath.json / BENCH_federation.json / BENCH_scenarios.json
+# across commits; see docs/PERFORMANCE.md, docs/BROKER.md,
+# docs/ELASTIC.md, docs/FEDERATION.md and docs/SCENARIOS.md).
+# bench_broker runs before bench_hotpath: the hotpath transport floor
+# is a ratio against the JSON-lines number bench_broker just wrote.
 bench-json:
 	pytest benchmarks/bench_allocator_overhead.py --benchmark-only \
 		--benchmark-json=BENCH_allocator.json
@@ -58,18 +57,12 @@ bench-json:
 	pytest benchmarks/bench_elastic.py --benchmark-only
 	pytest benchmarks/bench_hotpath.py --benchmark-only
 	pytest benchmarks/bench_federation.py --benchmark-only
-	pytest benchmarks/bench_fleet.py --benchmark-only
 	pytest benchmarks/bench_scenarios.py --benchmark-only
 
 # The headline elastic experiment: static vs. elastic scheduling on the
 # same drifting-load world (single reproducible entry point).
 elastic:
 	python -m repro elastic --seed 3 --events
-
-# The fleet experiment: static vs. per-job-elastic vs. fleet-elastic on
-# the same oversubscribed drifting-load world.
-fleet:
-	python -m repro fleet --seed 2 --warmup-s 900
 
 # Deterministic fault-injection harness: every scenario end-to-end with
 # a fixed seed, exiting non-zero on any invariant violation.

@@ -34,15 +34,6 @@ the federation daemon (a single-broker daemon deliberately has no dead
   without a ``token`` keyword: router forwarding and cross-shard
   splitting must preserve (or derive from) the client's idempotency
   token, or a retried request can double-book nodes.
-
-The fleet optimizer added a third verb family: ``fleet_plan`` /
-``fleet_status`` are declared in ``FLEET_OPS`` and — unlike federation
-verbs — must be dispatched by *every* broker ladder (base daemon and
-chaos transport both), because a single broker runs fleet passes too:
-
-* ``PRO009`` — a fleet verb in ``FLEET_OPS`` is missing from the
-  parser or a dispatch ladder.
-* ``PRO010`` — a fleet verb has no client ``call()`` literal.
 """
 
 from __future__ import annotations
@@ -61,8 +52,6 @@ RULES = (
     RuleInfo("PRO006", "protocol-drift", "federation op missing from a federation ladder"),
     RuleInfo("PRO007", "protocol-drift", "federation op missing from the client library"),
     RuleInfo("PRO008", "protocol-drift", "federation AllocateParams dropping the idempotency token"),
-    RuleInfo("PRO009", "protocol-drift", "fleet op missing from a dispatch ladder"),
-    RuleInfo("PRO010", "protocol-drift", "fleet op missing from the client library"),
 )
 
 PROTOCOL_MODULE = "repro.broker.protocol"
@@ -92,9 +81,7 @@ def check_project(project: Project) -> list[Finding]:
     transport_ops = transport[0] if transport is not None else set()
     federation = _ops_tuple(protocol, "FEDERATION_OPS")
     federation_ops = federation[0] if federation is not None else set()
-    fleet = _ops_tuple(protocol, "FLEET_OPS")
-    fleet_ops = fleet[0] if fleet is not None else set()
-    known = declared | transport_ops | federation_ops | fleet_ops
+    known = declared | transport_ops | federation_ops
 
     findings: list[Finding] = []
     parser_seen = _op_comparisons(protocol)
@@ -139,24 +126,6 @@ def check_project(project: Project) -> list[Finding]:
                         "TRANSPORT_OPS but this module never matches it",
                         hint="handle the transport verb (codec negotiation/"
                         "pipelining) or drop it from TRANSPORT_OPS",
-                        context="<dispatch>",
-                    )
-                )
-        # fleet verbs run on every broker, so every base ladder (parser,
-        # daemon, chaos transport mirror) must match them
-        for op in sorted(fleet_ops):
-            if op not in seen:
-                findings.append(
-                    Finding(
-                        path=file.rel,
-                        line=1,
-                        col=0,
-                        rule="PRO009",
-                        severity="error",
-                        message=f"fleet op {op!r} is declared in FLEET_OPS "
-                        "but this module's dispatch ladder never matches it",
-                        hint="add the `op == ...` branch (and its handler) "
-                        "or drop the op from FLEET_OPS",
                         context="<dispatch>",
                     )
                 )
@@ -299,27 +268,11 @@ def check_project(project: Project) -> list[Finding]:
                         context="BrokerClient",
                     )
                 )
-        for op in sorted(fleet_ops):
-            if op not in called:
-                findings.append(
-                    Finding(
-                        path=client.rel,
-                        line=1,
-                        col=0,
-                        rule="PRO010",
-                        severity="error",
-                        message=f"fleet op {op!r} is declared in FLEET_OPS "
-                        "but the client library never calls it",
-                        hint="add a typed client method wrapping "
-                        f"call({op!r}, ...)",
-                        context="BrokerClient",
-                    )
-                )
         retry_safe = _retry_safe_ops(client)
         if retry_safe is not None:
             safe_ops, line = retry_safe
             for op in sorted(safe_ops):
-                if op not in declared | federation_ops | fleet_ops:
+                if op not in declared | federation_ops:
                     findings.append(
                         Finding(
                             path=client.rel,
@@ -328,8 +281,8 @@ def check_project(project: Project) -> list[Finding]:
                             rule="PRO004",
                             severity="error",
                             message=f"_RETRY_SAFE_OPS lists {op!r}, which "
-                            "is not declared in protocol OPS, "
-                            "FEDERATION_OPS, or FLEET_OPS",
+                            "is not declared in protocol OPS or "
+                            "FEDERATION_OPS",
                             hint="retry safety only applies to real verbs; "
                             "fix the entry",
                             context="_RETRY_SAFE_OPS",

@@ -42,13 +42,10 @@ from repro.broker.protocol import (
 )
 
 #: operations the client retries on transport death without being told.
-#: ``status``/``shards``/``resolve``/``fleet_status`` are read-only;
-#: ``allocate`` is safe only because the typed helper always attaches a
-#: dedupe token (see :meth:`BrokerClient.call`).  ``fleet_plan`` is NOT
-#: retry-safe: a replayed pass would migrate the fleet twice.
-_RETRY_SAFE_OPS = frozenset(
-    {"allocate", "status", "shards", "resolve", "fleet_status"}
-)
+#: ``status``/``shards``/``resolve`` are read-only; ``allocate`` is safe
+#: only because the typed helper always attaches a dedupe token (see
+#: :meth:`BrokerClient.call`).
+_RETRY_SAFE_OPS = frozenset({"allocate", "status", "shards", "resolve"})
 
 #: every error code this client understands: the full server-side
 #: :class:`~repro.broker.protocol.ErrorCode` enum plus the two codes the
@@ -554,27 +551,6 @@ class BrokerClient:
     def status(self) -> dict:
         """The daemon's status/metrics block."""
         return self.call("status")
-
-    def fleet_plan(
-        self, *, dry_run: bool = False, max_actions: int = 8
-    ) -> dict:
-        """Run one coordinated malleability pass over every live lease.
-
-        The broker replans each lease against one snapshot, gates each
-        candidate under the global fleet rate limiter, and applies the
-        accepted plans shrinks-first through the two-phase executor.
-        ``dry_run=True`` returns the ordered plan without executing it.
-        Never retried on transport death — a replayed pass would migrate
-        the fleet twice; inspect ``fleet_status`` and decide yourself.
-        """
-        return self.call(
-            "fleet_plan",
-            {"dry_run": dry_run or None, "max_actions": max_actions},
-        )
-
-    def fleet_status(self) -> dict:
-        """Fleet-pass counters and rate-limiter state (read-only)."""
-        return self.call("fleet_status")
 
     def shards(self) -> dict:
         """The federation router's per-shard aggregates and scores.

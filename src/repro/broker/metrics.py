@@ -60,12 +60,6 @@ class BrokerMetrics:
         self.reconfigured = 0
         #: reconfigure requests answered "stay put" (no plan or gated off)
         self.reconfig_rejected = 0
-        #: executed (non-dry-run) fleet_plan passes
-        self.fleet_passes = 0
-        #: fleet-pass actions that committed a new placement
-        self.fleet_actions_applied = 0
-        #: fleet-pass actions that died mid-flight and were rolled back
-        self.fleet_actions_failed = 0
         self.decisions_memoized = 0
         #: decision-memo entries evicted by a lineage change (delta
         #: invalidation or a wholesale clear on a fresh snapshot)
@@ -130,9 +124,6 @@ class BrokerMetrics:
             "oversized_requests": self.oversized_requests,
             "reconfigured": self.reconfigured,
             "reconfig_rejected": self.reconfig_rejected,
-            "fleet_passes": self.fleet_passes,
-            "fleet_actions_applied": self.fleet_actions_applied,
-            "fleet_actions_failed": self.fleet_actions_failed,
             "decisions_memoized": self.decisions_memoized,
             "decisions_invalidated": self.decisions_invalidated,
             "batch_swaps_adopted": self.batch_swaps_adopted,

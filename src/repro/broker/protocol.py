@@ -121,14 +121,6 @@ TRANSPORT_OPS = ("hello",)
 #: family checks the federation ladders separately (PRO006/PRO007).
 FEDERATION_OPS = ("shards", "resolve")
 
-#: Fleet verbs — one coordinated malleability pass over every live
-#: lease (``fleet_plan``) and its counters (``fleet_status``).  Kept
-#: out of :data:`OPS` because, like the federation verbs, they are an
-#: opt-in control-plane surface: a client that never speaks them sees
-#: exactly the historical per-lease protocol.  The PRO lint family
-#: checks the fleet ladders separately (PRO009/PRO010).
-FLEET_OPS = ("fleet_plan", "fleet_status")
-
 #: Codecs a connection may negotiate via ``hello``.  ``json`` is the
 #: JSON-lines default; ``binary`` is length-prefixed compact JSON;
 #: ``msgpack`` is length-prefixed MessagePack, offered only when the
@@ -207,6 +199,11 @@ class AllocateParams:
                 ErrorCode.BAD_REQUEST,
                 f"params.ttl_s must be positive, got {self.ttl_s}",
             )
+        if self.ttl_s is not None and not math.isfinite(self.ttl_s):
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST,
+                f"params.ttl_s must be finite, got {self.ttl_s}",
+            )
 
 
 @dataclass(frozen=True)
@@ -225,6 +222,11 @@ class RenewParams:
             raise ProtocolError(
                 ErrorCode.BAD_REQUEST,
                 f"params.ttl_s must be positive, got {self.ttl_s}",
+            )
+        if self.ttl_s is not None and not math.isfinite(self.ttl_s):
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST,
+                f"params.ttl_s must be finite, got {self.ttl_s}",
             )
 
 
@@ -267,6 +269,11 @@ class ReconfigureParams:
                 ErrorCode.BAD_REQUEST,
                 f"params.remaining_s must be positive, got {self.remaining_s}",
             )
+        if self.remaining_s is not None and not math.isfinite(self.remaining_s):
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST,
+                f"params.remaining_s must be finite, got {self.remaining_s}",
+            )
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ProtocolError(
                 ErrorCode.BAD_REQUEST,
@@ -295,37 +302,6 @@ class ResolveParams:
             raise ProtocolError(
                 ErrorCode.BAD_REQUEST, "params.lease_id must be non-empty"
             )
-
-
-#: Hard cap on actions one fleet pass may attempt.
-MAX_FLEET_ACTIONS = 64
-
-
-@dataclass(frozen=True)
-class FleetPlanParams:
-    """Parameters of a ``fleet_plan`` request.
-
-    ``dry_run`` plans the pass (ordered action list, objective
-    arithmetic) without touching the lease table.  ``max_actions``
-    bounds how many migrations one pass may attempt — the wire-level
-    backstop on top of the broker's global rate limiter.
-    """
-
-    dry_run: bool = False
-    max_actions: int = 8
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_actions <= MAX_FLEET_ACTIONS:
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"params.max_actions must lie in [1, {MAX_FLEET_ACTIONS}], "
-                f"got {self.max_actions}",
-            )
-
-
-@dataclass(frozen=True)
-class FleetStatusParams:
-    """Parameters of a ``fleet_status`` request (none defined in v1)."""
 
 
 @dataclass(frozen=True)
@@ -365,8 +341,6 @@ Params = (
     | StatusParams
     | ShardsParams
     | ResolveParams
-    | FleetPlanParams
-    | FleetStatusParams
     | HelloParams
 )
 
@@ -485,20 +459,6 @@ def parse_request_obj(obj: Any) -> Request:
         params = ResolveParams(
             lease_id=_require(raw, "lease_id", (str,), "params")
         )
-    elif op == "fleet_plan":
-        dry_run = raw.get("dry_run", False)
-        if not isinstance(dry_run, bool):
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"params.dry_run must be a boolean, got {dry_run!r}",
-            )
-        max_actions = _opt(raw, "max_actions", (int,), "params")
-        params = FleetPlanParams(
-            dry_run=dry_run,
-            max_actions=8 if max_actions is None else max_actions,
-        )
-    elif op == "fleet_status":
-        params = FleetStatusParams()
     elif op == "hello":
         pipeline = raw.get("pipeline", False)
         if not isinstance(pipeline, bool):
@@ -516,7 +476,7 @@ def parse_request_obj(obj: Any) -> Request:
         raise ProtocolError(
             ErrorCode.UNKNOWN_OP,
             f"unknown op {op!r}; choose from "
-            f"{OPS + FEDERATION_OPS + FLEET_OPS + TRANSPORT_OPS}",
+            f"{OPS + FEDERATION_OPS + TRANSPORT_OPS}",
         )
     return Request(id=req_id, op=op, params=params, v=version)
 

@@ -460,14 +460,6 @@ class BrokerServer:
             return ok_response(
                 request.id, self.service.reconfigure(request.params)
             )
-        if request.op == "fleet_plan":
-            # Inline like reconfigure: a pass replans every lease, but
-            # fleet traffic is a rare control-plane operation.
-            return ok_response(
-                request.id, self.service.fleet_plan(request.params)
-            )
-        if request.op == "fleet_status":
-            return ok_response(request.id, self.service.fleet_status())
         assert request.op == "status"
         return ok_response(request.id, self.service.status())
 

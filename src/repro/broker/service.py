@@ -40,7 +40,6 @@ from repro.broker.protocol import (
     PROTOCOL_VERSION,
     AllocateParams,
     ErrorCode,
-    FleetPlanParams,
     ProtocolError,
     ReconfigureParams,
     ReleaseParams,
@@ -48,9 +47,8 @@ from repro.broker.protocol import (
 )
 from repro.elastic.cost import MigrationCostConfig, SnapshotMigrationCost
 from repro.elastic.executor import ReconfigError, TwoPhaseExecutor
-from repro.elastic.gate import FleetRateLimiter, GateConfig, PlanGate
+from repro.elastic.gate import GateConfig, PlanGate
 from repro.elastic.plan import ReconfigPlan, ReconfigPlanner
-from repro.fleet.executor import FleetExecutor, order_plans
 from repro.core.broker import ResourceBroker, WaitRecommended
 from repro.core.policies import (
     Allocation,
@@ -185,7 +183,6 @@ class BrokerService:
         migration_cost_config: MigrationCostConfig | None = None,
         quarantine: NodeQuarantine | None = None,
         migrate_hook: Callable[[Any], None] | None = None,
-        fleet_limiter: FleetRateLimiter | None = None,
         lease_namespace: str = "",
         policy_overrides: Mapping[str, AllocationPolicy] | None = None,
     ) -> None:
@@ -231,15 +228,10 @@ class BrokerService:
         # -- elastic reconfiguration plumbing ---------------------------
         self.planner = ReconfigPlanner()
         self._coster = _SnapshotCoster(migration_cost_config)
-        self.gate = PlanGate(
-            self._coster,
-            gate_config,
-            fleet_limiter=fleet_limiter or FleetRateLimiter(),
-        )
+        self.gate = PlanGate(self._coster, gate_config)
         self._executor = TwoPhaseExecutor(
             self.leases, reserve_ttl_s=default_ttl_s
         )
-        self._fleet = FleetExecutor(self._executor)
         self.quarantine = quarantine
         self.migrate_hook = migrate_hook
         # idempotency-token → decided result (grant dict or ProtocolError)
@@ -650,8 +642,25 @@ class BrokerService:
         if self.quarantine is not None:
             self.quarantine.observe(snapshot.livehosts)
         alpha = params.alpha if params.alpha is not None else lease.alpha
+        request = AllocationRequest(
+            n_processes=sum(lease.procs.values()),
+            ppn=lease.ppn,
+            tradeoff=TradeOff.from_alpha(alpha),
+        )
+        exclude = self.leases.held_nodes()
+        if self.quarantine is not None:
+            quarantined = self.quarantine.excluded()
+            if quarantined:
+                exclude = frozenset(exclude | quarantined)
         t0 = time.perf_counter()
-        plan = self._propose_for_lease(lease, snapshot, alpha=alpha)
+        plan = self.planner.propose(
+            snapshot,
+            lease_id=lease.lease_id,
+            nodes=lease.nodes,
+            procs=lease.procs,
+            request=request,
+            exclude=exclude,
+        )
         if plan is None:
             self.metrics.reconfig_rejected += 1
             return {
@@ -703,161 +712,6 @@ class BrokerService:
             "reconfigs": swapped.reconfigs,
             "expires_at": swapped.expires_at,
             "plan_latency_s": time.perf_counter() - t0,
-        }
-
-    def _propose_for_lease(
-        self,
-        lease: Lease,
-        snapshot: ClusterSnapshot,
-        *,
-        alpha: float,
-        exclude_extra: frozenset[str] = frozenset(),
-    ) -> ReconfigPlan | None:
-        """Same-size replanning for one lease against ``snapshot``.
-
-        Shared by ``reconfigure`` (one lease, client-initiated) and
-        ``fleet_plan`` (every lease, pass-initiated — ``exclude_extra``
-        carries the nodes earlier plans of the same pass already
-        claimed, so one pass never proposes conflicting placements).
-        """
-        request = AllocationRequest(
-            n_processes=sum(lease.procs.values()),
-            ppn=lease.ppn,
-            tradeoff=TradeOff.from_alpha(alpha),
-        )
-        exclude = self.leases.held_nodes()
-        if self.quarantine is not None:
-            quarantined = self.quarantine.excluded()
-            if quarantined:
-                exclude = frozenset(exclude | quarantined)
-        if exclude_extra:
-            exclude = frozenset(exclude | exclude_extra)
-        return self.planner.propose(
-            snapshot,
-            lease_id=lease.lease_id,
-            nodes=lease.nodes,
-            procs=lease.procs,
-            request=request,
-            exclude=exclude,
-        )
-
-    # ------------------------------------------------------------------
-    # fleet pass
-
-    @atomic_between_awaits
-    def fleet_plan(self, params: FleetPlanParams) -> dict[str, Any]:
-        """One coordinated malleability pass over every live lease.
-
-        Replans each lease against the *same* snapshot (plans of one
-        pass exclude each other's claimed nodes, so they never
-        conflict), gates each candidate with ``fleet=True`` (per-lease
-        cooldown bypassed, global rate limiter in charge), orders the
-        accepted plans shrinks-first and applies them atomically one by
-        one through the two-phase executor — a mid-flight failure rolls
-        that action back and the pass carries on.
-
-        ``dry_run=True`` returns the ordered plan without touching the
-        lease table, cooldowns, or the rate limiter.  The broker only
-        coordinates *placements* (migrate/rebalance); resize decisions
-        need application speedup models, which live client-side (the DES
-        :class:`~repro.fleet.sim.FleetScheduler` owns them).
-        """
-        now = self._clock()
-        try:
-            snapshot = self._snapshots()
-        except SnapshotUnavailableError as exc:
-            raise ProtocolError(ErrorCode.MONITOR_STALE, str(exc)) from None
-        if self.quarantine is not None:
-            self.quarantine.observe(snapshot.livehosts)
-        t0 = time.perf_counter()
-        self._coster.snapshot = snapshot
-        leases = sorted(self.leases.active(), key=lambda l: l.lease_id)
-        plans: list[ReconfigPlan] = []
-        skipped: list[dict[str, Any]] = []
-        claimed: set[str] = set()
-        for lease in leases:
-            if len(plans) >= params.max_actions:
-                skipped.append(
-                    {"lease_id": lease.lease_id, "reason": "max_actions"}
-                )
-                continue
-            plan = self._propose_for_lease(
-                lease,
-                snapshot,
-                alpha=lease.alpha,
-                exclude_extra=frozenset(claimed),
-            )
-            if plan is None:
-                continue  # this placement is already best — a no-op
-            decision = self.gate.evaluate(
-                plan,
-                remaining_s=lease.remaining_s(now),
-                now=now,
-                fleet=True,
-                record=not params.dry_run,
-            )
-            if not decision:
-                skipped.append(
-                    {
-                        "lease_id": lease.lease_id,
-                        "reason": decision.reason,
-                        "kind": plan.kind,
-                        "predicted_gain": plan.predicted_gain,
-                    }
-                )
-                continue
-            claimed.update(plan.add_nodes)
-            plans.append(plan)
-        ordered = order_plans(plans)
-        result: dict[str, Any] = {
-            "dry_run": params.dry_run,
-            "considered": len(leases),
-            "planned": [
-                {
-                    "lease_id": p.lease_id,
-                    "kind": p.kind,
-                    "add_nodes": list(p.add_nodes),
-                    "drop_nodes": list(p.drop_nodes),
-                    "predicted_gain": p.predicted_gain,
-                }
-                for p in ordered
-            ],
-            "skipped": skipped,
-            # per-lease Equation-4 relative gains; comparable because
-            # every plan of the pass is same-size under one snapshot
-            "objective_gain": sum(p.predicted_gain for p in ordered),
-        }
-        if params.dry_run:
-            result["applied"] = 0
-            result["failed"] = 0
-            result["plan_latency_s"] = time.perf_counter() - t0
-            return result
-        report = self._fleet.apply_pass(ordered, migrate=self.migrate_hook)
-        self.metrics.fleet_passes += 1
-        self.metrics.fleet_actions_applied += report.applied
-        self.metrics.fleet_actions_failed += report.failed
-        # fleet commits are reconfigurations too — the federation status
-        # rows aggregate both paths under one pair of counters
-        self.metrics.reconfigured += report.applied
-        self.metrics.reconfig_rejected += len(skipped)
-        result.update(report.to_dict())
-        result["plan_latency_s"] = time.perf_counter() - t0
-        return result
-
-    def fleet_status(self) -> dict[str, Any]:
-        """The ``fleet_status`` RPC: pass counters and limiter state."""
-        limiter = self.gate.fleet_limiter
-        assert limiter is not None  # constructor always installs one
-        return {
-            "passes": self._fleet.passes,
-            "actions_applied": self._fleet.actions_applied,
-            "actions_failed": self._fleet.actions_failed,
-            "rate_limiter": {
-                "max_actions": limiter.max_actions,
-                "window_s": limiter.window_s,
-                "in_window": limiter.in_window,
-            },
-            "gate_counts": dict(self.gate.counts),
         }
 
     def sweep_expired(self) -> list[Lease]:

@@ -66,7 +66,6 @@ from repro.federation import (
     snapshot_switches,
     subtree_partition,
 )
-from repro.fleet.executor import FleetExecutor, order_plans
 from repro.monitor.quarantine import NodeQuarantine
 from repro.monitor.snapshot import CachedSnapshotSource, oracle_snapshot
 from repro.monitor.store import InMemoryStore
@@ -802,156 +801,6 @@ def scenario_mid_migration_death(seed: int, scenario: str | None = None) -> Chao
     )
 
 
-def scenario_fleet_pass_partial_failure(seed: int, scenario: str | None = None) -> ChaosReport:
-    """A migration dies midway through a multi-action fleet pass.
-
-    The fleet executor orders the batch but applies each action through
-    its own two-phase transaction, so a mid-pass death must be *local*:
-    the killed action rolls back completely (lease unchanged, target
-    reservation freed), every other action in the pass commits, and the
-    pass reports the split honestly instead of raising.
-    """
-    calls = {"n": 0}
-
-    def flaky_migrate(plan: Any) -> None:
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("chaos: checkpoint transfer died mid-pass")
-
-    world = build_world(seed, scenario=scenario, migrate_hook=flaky_migrate)
-    checker = InvariantChecker("fleet_pass_partial_failure")
-    world.scenario.advance(30.0)
-
-    grants = []
-    for i in range(2):
-        params = AllocateParams(n_processes=4, ppn=2, ttl_s=_LEASE_TTL_S)
-        grant = _allocate(world, checker, params, f"allocate#{i}")
-        if grant is None:
-            checker.violate("setup", f"initial allocate #{i} failed")
-            return _report(
-                "fleet_pass_partial_failure", seed, world, checker,
-                DriveStats(),
-            )
-        grants.append(grant)
-
-    # Hand-build one migration plan per lease onto disjoint free nodes:
-    # deterministic, independent of what the planner would propose.
-    free = [
-        n
-        for n in world.scenario.cluster.names
-        if n not in world.service.leases.held_nodes()
-    ]
-    request = AllocationRequest(
-        n_processes=4, ppn=2, tradeoff=TradeOff.from_alpha(0.3)
-    )
-    plans = []
-    for i, grant in enumerate(grants):
-        old_nodes = tuple(grant["nodes"])
-        new_nodes = tuple(free[2 * i : 2 * i + 2])
-        plans.append(
-            ReconfigPlan(
-                lease_id=grant["lease_id"],
-                kind=plan_kind(old_nodes, new_nodes),
-                old_nodes=old_nodes,
-                new_nodes=new_nodes,
-                old_procs={str(k): int(v) for k, v in grant["procs"].items()},
-                procs={n: 2 for n in new_nodes},
-                current_total=1.0,
-                proposed_total=0.7,
-                predicted_gain=0.3,
-                request=request,
-                snapshot_time=world.now,
-            )
-        )
-
-    fleet = FleetExecutor(world.service._executor)
-    report = checker.guard(
-        "fleet_pass",
-        lambda: fleet.apply_pass(
-            order_plans(plans), migrate=world.service.migrate_hook
-        ),
-    )
-    if report is None:
-        checker.violate("atomicity", "fleet pass raised instead of reporting")
-        return _report(
-            "fleet_pass_partial_failure", seed, world, checker, DriveStats()
-        )
-    if report.applied != 1 or report.failed != 1:
-        checker.violate(
-            "atomicity",
-            f"expected 1 applied + 1 failed, got applied={report.applied} "
-            f"failed={report.failed}",
-        )
-    by_lease = {r.lease_id: r for r in report.results}
-    for plan in plans:
-        result = by_lease.get(plan.lease_id)
-        lease = world.service.leases.get(plan.lease_id)
-        if result is None or lease is None:
-            checker.violate(
-                "atomicity", f"lease {plan.lease_id} missing from pass/table"
-            )
-            continue
-        if result.outcome == "committed":
-            # committed action: fully on the new nodes
-            if set(lease.nodes) != set(plan.new_nodes):
-                checker.violate(
-                    "atomicity",
-                    f"applied action left lease on {sorted(lease.nodes)}, "
-                    f"expected {sorted(plan.new_nodes)}",
-                )
-        else:
-            # failed action: fully rolled back to the old nodes, and the
-            # target reservation must not leak
-            if set(lease.nodes) != set(plan.old_nodes):
-                checker.violate(
-                    "atomicity",
-                    f"failed action left lease on {sorted(lease.nodes)}, "
-                    f"expected rollback to {sorted(plan.old_nodes)}",
-                )
-            probe = checker.guard(
-                "reservation_freed",
-                lambda p=plan: world.service.leases.grant(
-                    p.new_nodes,
-                    {n: 1 for n in p.new_nodes},
-                    ttl_s=60.0,
-                    policy="probe",
-                ),
-            )
-            if probe is None:
-                checker.violate(
-                    "rollback",
-                    f"reservation leaked: {sorted(plan.new_nodes)} not "
-                    "allocatable after mid-pass rollback",
-                )
-            else:
-                world.service.leases.release(probe.lease_id)
-    checker.check_lease_accounting(world.service.leases, 2)
-    checker.check_no_double_grant(world.service.leases)
-
-    for grant in grants:
-        checker.guard(
-            "final_release",
-            lambda g=grant: world.service.release(
-                _release_params(g["lease_id"])
-            ),
-        )
-    checker.check_lease_accounting(world.service.leases, 0)
-    stats = DriveStats(grants=2, releases=2)
-    return _report(
-        "fleet_pass_partial_failure",
-        seed,
-        world,
-        checker,
-        stats,
-        migrate_calls=calls["n"],
-        fleet={
-            "passes": fleet.passes,
-            "applied": fleet.actions_applied,
-            "failed": fleet.actions_failed,
-        },
-    )
-
-
 def scenario_shard_death_cross_reserve(seed: int, scenario: str | None = None) -> ChaosReport:
     """A shard dies between cross-shard reserve and commit.
 
@@ -1480,12 +1329,6 @@ SCENARIOS: dict[str, ChaosScenario] = {
             "mid_migration_death",
             "migration callback dies; two-phase rollback",
             scenario_mid_migration_death,
-            smoke=True,
-        ),
-        ChaosScenario(
-            "fleet_pass_partial_failure",
-            "migration dies mid fleet pass; per-action rollback",
-            scenario_fleet_pass_partial_failure,
             smoke=True,
         ),
         ChaosScenario(

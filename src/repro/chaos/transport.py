@@ -111,10 +111,6 @@ def _dispatch(service: BrokerService, request: Request):
         return ok_response(request.id, service.release(request.params))
     if request.op == "reconfigure":
         return ok_response(request.id, service.reconfigure(request.params))
-    if request.op == "fleet_plan":
-        return ok_response(request.id, service.fleet_plan(request.params))
-    if request.op == "fleet_status":
-        return ok_response(request.id, service.fleet_status())
     assert request.op == "status"
     return ok_response(request.id, service.status())
 

@@ -252,38 +252,6 @@ def cmd_elastic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.experiment import run_fleet_comparison
-
-    cmp = run_fleet_comparison(
-        seed=args.seed,
-        scenario=args.scenario,
-        n_nodes=args.nodes,
-        n_jobs=args.jobs,
-        n_processes=args.procs,
-        ppn=args.ppn,
-        interarrival_s=args.interarrival_s,
-        warmup_s=args.warmup_s,
-        drift_intensity=args.intensity,
-        utility_seed=args.utility_seed,
-    )
-    if args.json:
-        print(json.dumps(cmp.to_dict(), indent=2))
-        return 0
-    print(f"{'variant':>8s}  {'turnaround (s)':>14s}  {'wait (s)':>9s}  "
-          f"{'util':>5s}  {'reconfigs':>9s}  {'passes':>6s}  {'actions':>7s}")
-    for row in (cmp.static, cmp.elastic, cmp.fleet):
-        print(f"{row.variant:>8s}  {row.stats.mean_turnaround_s:14.1f}  "
-              f"{row.stats.mean_wait_s:9.1f}  {row.utilization:5.3f}  "
-              f"{row.reconfigs:9d}  {row.fleet_passes:6d}  "
-              f"{row.fleet_actions:7d}")
-    print(f"elastic vs static {cmp.elastic_vs_static_pct:+.1f}%  "
-          f"fleet vs static {cmp.fleet_vs_static_pct:+.1f}%  "
-          f"fleet vs elastic {cmp.fleet_vs_elastic_pct:+.1f}%  "
-          f"utilization {cmp.fleet_utilization_delta:+.3f}")
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos.runner import main as chaos_main
 
@@ -654,41 +622,6 @@ def client_status(client, args: argparse.Namespace) -> int:
     return 0
 
 
-def client_fleet_plan(client, args: argparse.Namespace) -> int:
-    result = client.fleet_plan(
-        dry_run=args.dry_run, max_actions=args.max_actions
-    )
-    if args.json:
-        print(json.dumps(result, indent=2))
-        return 0
-    mode = "dry-run" if result["dry_run"] else "executed"
-    print(f"fleet pass ({mode}): considered={result['considered']} "
-          f"planned={len(result['planned'])} applied={result['applied']} "
-          f"failed={result['failed']} "
-          f"objective_gain={result['objective_gain']:+.3f}")
-    for action in result["planned"]:
-        print(f"  {action['lease_id']} {action['kind']:>7s} "
-              f"gain={action['predicted_gain']:+.3f}")
-    for skip in result["skipped"]:
-        print(f"  {skip['lease_id']} skipped: {skip['reason']}")
-    return 0
-
-
-def client_fleet_status(client, args: argparse.Namespace) -> int:
-    result = client.fleet_status()
-    if args.json:
-        print(json.dumps(result, indent=2))
-        return 0
-    print(f"fleet: passes={result['passes']} "
-          f"applied={result['actions_applied']} "
-          f"failed={result['actions_failed']}")
-    limiter = result.get("rate_limiter")
-    if limiter is not None:
-        print(f"rate limiter: {limiter['in_window']}/{limiter['max_actions']} "
-              f"actions in the last {limiter['window_s']:.0f}s")
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import main as lint_main
 
@@ -752,28 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print each reconfiguration event")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_elastic)
-
-    p = sub.add_parser(
-        "fleet",
-        help="static vs. per-job-elastic vs. fleet-elastic comparison",
-    )
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=6)
-    p.add_argument("-n", "--procs", type=int, default=8)
-    p.add_argument("--ppn", type=int, default=4)
-    p.add_argument("--interarrival-s", type=float, default=240.0,
-                   help="job interarrival; short values oversubscribe")
-    p.add_argument("--warmup-s", type=float, default=1800.0)
-    p.add_argument("--intensity", type=float, default=1.0,
-                   help="drift intensity multiplier for the OU excursions")
-    p.add_argument("--utility-seed", type=int, default=0,
-                   help="seed for the per-job-class speedup curves")
-    p.add_argument("--scenario", default=None, metavar="NAME",
-                   help="registered world scenario "
-                        "(default: legacy uniform tree)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
         "chaos",
@@ -937,19 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("status", help="daemon status and metrics")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_client, client_func=client_status)
-
-    c = csub.add_parser(
-        "fleet-plan", help="run one global malleability pass on the broker"
-    )
-    c.add_argument("--dry-run", action="store_true",
-                   help="plan and report without executing any action")
-    c.add_argument("--max-actions", type=int, default=8)
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_client, client_func=client_fleet_plan)
-
-    c = csub.add_parser("fleet-status", help="fleet-pass counters")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_client, client_func=client_fleet_status)
 
     # `lint` forwards everything after the verb to the analysis CLI (see
     # main(): argparse.REMAINDER cannot forward leading options).

@@ -54,56 +54,13 @@ class GateConfig:
         require_non_negative(self.cooldown_s, "cooldown_s")
 
 
-class FleetRateLimiter:
-    """Global sliding-window cap on fleet-initiated reconfigurations.
-
-    Fleet passes bypass the per-lease cooldown (a coordinated pass must
-    be able to move several jobs at once without the per-job hysteresis
-    starving it), so *this* is what keeps a runaway optimizer from
-    churning the whole cluster: at most ``max_actions`` accepted fleet
-    actions per ``window_s`` seconds, across all leases.
-    """
-
-    def __init__(
-        self, *, max_actions: int = 8, window_s: float = 300.0
-    ) -> None:
-        if max_actions <= 0:
-            raise ValueError(
-                f"max_actions must be positive, got {max_actions}"
-            )
-        require_positive(window_s, "window_s")
-        self.max_actions = int(max_actions)
-        self.window_s = float(window_s)
-        self._accepts: list[float] = []
-
-    def allow(self, now: float) -> bool:
-        """Whether one more fleet action may be accepted at ``now``."""
-        self._prune(now)
-        return len(self._accepts) < self.max_actions
-
-    def record(self, now: float) -> None:
-        """Register one accepted fleet action at ``now``."""
-        self._prune(now)
-        self._accepts.append(now)
-
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.window_s
-        self._accepts = [t for t in self._accepts if t > cutoff]
-
-    @property
-    def in_window(self) -> int:
-        """Accepted fleet actions still inside the sliding window."""
-        return len(self._accepts)
-
-
 @dataclass(frozen=True)
 class GateDecision:
     """The gate's verdict on one plan, with its arithmetic shown."""
 
     accepted: bool
     #: machine-readable reason: accepted / gain_below_floor /
-    #: job_nearly_done / in_cooldown / cost_exceeds_benefit /
-    #: fleet_rate_limited
+    #: job_nearly_done / in_cooldown / cost_exceeds_benefit
     reason: str
     #: predicted wall seconds saved over the job's remaining runtime
     benefit_s: float
@@ -127,14 +84,9 @@ class PlanGate:
         self,
         cost_model: MigrationCoster,
         config: GateConfig | None = None,
-        *,
-        fleet_limiter: FleetRateLimiter | None = None,
     ) -> None:
         self.cost_model = cost_model
         self.config = config or GateConfig()
-        #: global limiter consulted instead of the per-lease cooldown for
-        #: fleet-initiated plans (``evaluate(..., fleet=True)``)
-        self.fleet_limiter = fleet_limiter
         self._last_accept: dict[str, float] = {}
         #: decision counters by reason (observability)
         self.counts: dict[str, int] = {}
@@ -146,24 +98,12 @@ class PlanGate:
         remaining_s: float,
         now: float = 0.0,
         benefit_s: float | None = None,
-        fleet: bool = False,
-        record: bool = True,
     ) -> GateDecision:
         """Judge one plan against a job with ``remaining_s`` left to run.
 
         ``benefit_s`` overrides the default score-proxy benefit
         (``predicted_gain × remaining_s``) — the DES scheduler passes the
         exactly re-priced runtime difference instead.
-
-        ``fleet=True`` marks a fleet-initiated plan: the per-lease
-        cooldown is bypassed (a coordinated pass may legitimately touch a
-        job the per-job damper would still hold) and the global
-        :class:`FleetRateLimiter` — when one is configured — takes its
-        place.  Per-job drift reactions keep the cooldown untouched.
-
-        ``record=False`` judges without updating cooldown or limiter
-        state — dry-run planning must not charge the budget of actions
-        it never applies.
         """
         cfg = self.config
         cost_s = float(self.cost_model.migration_cost_s(plan))
@@ -175,22 +115,13 @@ class PlanGate:
             return self._decide("job_nearly_done", benefit_s, cost_s)
         if plan.predicted_gain < cfg.min_gain:
             return self._decide("gain_below_floor", benefit_s, cost_s)
-        if fleet:
-            if self.fleet_limiter is not None and not self.fleet_limiter.allow(
-                now
-            ):
-                return self._decide("fleet_rate_limited", benefit_s, cost_s)
-        else:
-            last = self._last_accept.get(plan.lease_id)
-            if last is not None and now - last < cfg.cooldown_s:
-                return self._decide("in_cooldown", benefit_s, cost_s)
+        last = self._last_accept.get(plan.lease_id)
+        if last is not None and now - last < cfg.cooldown_s:
+            return self._decide("in_cooldown", benefit_s, cost_s)
         if benefit_s < cfg.benefit_margin * cost_s:
             return self._decide("cost_exceeds_benefit", benefit_s, cost_s)
 
-        if record:
-            self._last_accept[plan.lease_id] = now
-            if fleet and self.fleet_limiter is not None:
-                self.fleet_limiter.record(now)
+        self._last_accept[plan.lease_id] = now
         return self._decide("accepted", benefit_s, cost_s)
 
     def forget(self, lease_id: str) -> None:

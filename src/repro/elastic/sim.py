@@ -240,19 +240,6 @@ class MalleableClusterScheduler(ClusterScheduler):
     def _consider_reconfig(
         self, job: ScheduledJob, snapshot: ClusterSnapshot
     ) -> None:
-        plan = self._drift_plan(job, snapshot)
-        if plan is not None:
-            self._execute_plan(job, plan)
-
-    def _drift_plan(
-        self, job: ScheduledJob, snapshot: ClusterSnapshot
-    ) -> ReconfigPlan | None:
-        """Propose a same-size replacement when the job's nodes drift.
-
-        The request size is the job's *current* rank count (which a fleet
-        resize may have changed), so the planner compares like against
-        like under one Equation-4 normalization.
-        """
         assert job.allocation is not None
         jid = job.request.job_id
         lease_id = self._lease_ids[jid]
@@ -260,16 +247,16 @@ class MalleableClusterScheduler(ClusterScheduler):
             job.allocation.nodes, snapshot.time
         )
         if not verdict.triggered:
-            return None
+            return
         request = AllocationRequest(
-            n_processes=sum(job.allocation.procs.values()),
+            n_processes=job.request.n_processes,
             ppn=job.request.ppn,
             tradeoff=job.request.app.recommended_tradeoff(),
         )
         exclude = (
             frozenset(self._busy_nodes) if self.exclusive_nodes else None
         )
-        return self.planner.propose(
+        plan = self.planner.propose(
             snapshot,
             lease_id=lease_id,
             nodes=job.allocation.nodes,
@@ -277,27 +264,9 @@ class MalleableClusterScheduler(ClusterScheduler):
             request=request,
             exclude=exclude,
         )
+        if plan is None:
+            return
 
-    def _execute_plan(
-        self,
-        job: ScheduledJob,
-        plan: ReconfigPlan,
-        *,
-        fleet: bool = False,
-        benefit_bonus_s: float = 0.0,
-    ) -> bool:
-        """Gate and apply one plan; returns True when it committed.
-
-        ``fleet=True`` marks a fleet-initiated action: the gate skips the
-        per-job cooldown and consults the global rate limiter instead.
-        ``benefit_bonus_s`` adds externality value on top of the
-        exactly-priced self benefit (remaining-before minus
-        remaining-after) — the fleet pass uses it for shrinks, where the
-        *queued* head job's avoided wait offsets the donor's own
-        slowdown, so the gate prices the shrink's true net economics.
-        """
-        assert job.allocation is not None
-        jid = job.request.job_id
         now = self.engine.now
         self._bank_progress(jid, now)
         frac_left = 1.0 - self._done[jid]
@@ -314,19 +283,17 @@ class MalleableClusterScheduler(ClusterScheduler):
         cost_s = self.cost_model.migration_cost_s(plan)
         remaining_cur = frac_left * cur_T + pause_left
         remaining_new = frac_left * new_T + cost_s + pause_left
-        benefit_s = remaining_cur - remaining_new + benefit_bonus_s
         decision = self.gate.evaluate(
             plan,
             remaining_s=remaining_cur,
             now=now,
-            benefit_s=benefit_s,
-            fleet=fleet,
+            benefit_s=remaining_cur - remaining_new,
         )
         if not decision:
             self._occupy(job, old_placement)
             self._exec_T[jid] = cur_T
             self._reschedule_finish(job, remaining_cur)
-            return False
+            return
 
         try:
             self.executor.apply(plan, migrate=self._maybe_fail)
@@ -336,7 +303,7 @@ class MalleableClusterScheduler(ClusterScheduler):
             self._exec_T[jid] = cur_T
             self._reschedule_finish(job, remaining_cur)
             self._record(plan, now, "failed", decision, error=err.code)
-            return False
+            return
 
         job.allocation = new_allocation
         self._occupy(job, new_placement)
@@ -346,7 +313,6 @@ class MalleableClusterScheduler(ClusterScheduler):
         self._reschedule_finish(job, remaining_new)
         self._marks[jid] = now + pause_left + cost_s
         self._record(plan, now, "committed", decision)
-        return True
 
     def _maybe_fail(self, plan: ReconfigPlan) -> None:
         """Migration callback with injectable mid-flight failure."""

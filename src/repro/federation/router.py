@@ -45,7 +45,6 @@ from repro.broker.protocol import (
     PROTOCOL_VERSION,
     AllocateParams,
     ErrorCode,
-    FleetPlanParams,
     ProtocolError,
     ReconfigureParams,
     ReleaseParams,
@@ -676,76 +675,6 @@ class FederationRouter:
         _, service = self._owner(params.lease_id)
         return service.reconfigure(params)
 
-    # ------------------------------------------------------------------
-    # fleet passes (per-shard batches; cross-shard leases stay put)
-
-    @atomic_between_awaits
-    def fleet_plan(self, params: FleetPlanParams) -> dict[str, Any]:
-        """One fleet pass over every live shard, as per-shard batches.
-
-        Each shard plans and executes its own batch against its own
-        slice — a shard's snapshot cannot price another shard's nodes,
-        so migrations never cross the partition here (cross-shard moves
-        go through the two-phase reserve path in :meth:`_allocate_cross`
-        instead).  A dead shard is skipped, not fatal: the pass degrades
-        to the surviving shards exactly as allocates do.  The
-        ``max_actions`` budget applies *per shard*; the aggregate result
-        reports the fleet-wide totals plus each shard's own report.
-        """
-        per_shard: dict[str, Any] = {}
-        totals = {
-            "considered": 0,
-            "planned": 0,
-            "applied": 0,
-            "failed": 0,
-            "skipped": 0,
-        }
-        objective_gain = 0.0
-        for sid, shard in self._shards.items():
-            if not shard.alive:
-                per_shard[sid] = {"alive": False}
-                continue
-            self._sync_shard_source(sid)
-            out = shard.service.fleet_plan(params)
-            per_shard[sid] = out
-            totals["considered"] += out["considered"]
-            totals["planned"] += len(out["planned"])
-            totals["applied"] += out["applied"]
-            totals["failed"] += out["failed"]
-            totals["skipped"] += len(out["skipped"])
-            objective_gain += out["objective_gain"]
-        if not params.dry_run:
-            self.metrics.fleet_passes += 1
-            self.metrics.fleet_actions_applied += totals["applied"]
-            self.metrics.fleet_actions_failed += totals["failed"]
-        return {
-            "dry_run": params.dry_run,
-            "objective_gain": objective_gain,
-            "shards": per_shard,
-            **totals,
-        }
-
-    def fleet_status(self) -> dict[str, Any]:
-        """Aggregate ``fleet_status`` over live shards, plus per-shard rows."""
-        per_shard: dict[str, Any] = {}
-        passes = applied = failed = 0
-        for sid, shard in self._shards.items():
-            if not shard.alive:
-                per_shard[sid] = {"alive": False}
-                continue
-            out = shard.service.fleet_status()
-            per_shard[sid] = out
-            passes += out["passes"]
-            applied += out["actions_applied"]
-            failed += out["actions_failed"]
-        return {
-            "passes": passes,
-            "actions_applied": applied,
-            "actions_failed": failed,
-            "router_passes": self.metrics.fleet_passes,
-            "shards": per_shard,
-        }
-
     def sweep_expired(self) -> list[Lease]:
         """Sweep every live shard, then reap broken cross-shard leases.
 
@@ -869,13 +798,9 @@ class FederationRouter:
                 "active_leases": active,
                 "nodes_held": held,
                 "n_nodes": len(self.partition[sid]),
-                # per-shard malleability counters: both the reactive
-                # reconfigure verb and fleet-pass commits land here
+                # per-shard outcomes of the reconfigure verb
                 "reconfigured": metrics.reconfigured,
                 "reconfig_rejected": metrics.reconfig_rejected,
-                "fleet_passes": metrics.fleet_passes,
-                "fleet_actions_applied": metrics.fleet_actions_applied,
-                "fleet_actions_failed": metrics.fleet_actions_failed,
             }
         return {
             "protocol_version": PROTOCOL_VERSION,

@@ -73,12 +73,6 @@ class ClusterScheduler:
         #: finish-event handle per running job, so subclasses (elastic
         #: reconfiguration) can cancel and reschedule completions
         self._finish_events: dict[int, Event] = {}
-        #: accumulated node·seconds of occupancy across all jobs — the
-        #: numerator of cluster utilization (nodes_busy / nodes_total
-        #: integrated over the run)
-        self.busy_node_seconds: float = 0.0
-        #: per-job (occupy time, node count) of the current occupancy
-        self._occupy_marks: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------
     def submit(self, request: JobRequest) -> ScheduledJob:
@@ -175,7 +169,6 @@ class ClusterScheduler:
                         )
                     )
         self._job_flows[job.request.job_id] = flows
-        self._occupy_marks[job.request.job_id] = (self.engine.now, len(nodes))
         if self.exclusive_nodes:
             self._busy_nodes.update(nodes)
 
@@ -188,10 +181,6 @@ class ClusterScheduler:
         for flow in self._job_flows.pop(job.request.job_id, []):
             if flow in self.network.flows:
                 self.network.remove_flow(flow)
-        mark = self._occupy_marks.pop(job.request.job_id, None)
-        if mark is not None:
-            since, n_nodes = mark
-            self.busy_node_seconds += max(self.engine.now - since, 0.0) * n_nodes
         if self.exclusive_nodes:
             self._busy_nodes.difference_update(job.allocation.nodes)
 

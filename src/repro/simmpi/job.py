@@ -166,18 +166,3 @@ class SimJob:
                 ),
             },
         )
-
-
-def price_placement(
-    app: "AppModel",
-    placement: Placement,
-    cluster: Cluster,
-    network: NetworkModel,
-) -> float:
-    """Predicted wall seconds for one full run of ``app`` on ``placement``.
-
-    Convenience wrapper around :class:`SimJob` for callers that only need
-    the headline number — the fleet utility calibration prices the same
-    application at several rank counts to fit a measured speedup curve.
-    """
-    return SimJob(app, placement, cluster, network).run().total_time_s

@@ -2,13 +2,12 @@
 
 The RACE lint pass (``repro/analysis/race/``) only analyses ``async
 def`` bodies; the broker's hottest invariant lives one layer down:
-:class:`~repro.broker.service.BrokerService`, the federation router,
-and the fleet executor are *synchronous* objects whose multi-step
-updates (decision-memo check-then-insert, cross-shard reserve
-bookkeeping, pass-metrics aggregation) are atomic **only because they
-never yield and only one thread drives them**.  These helpers turn that
-unstated assumption into an assertion that the interleaving fuzzer
-(:mod:`repro.chaos.interleave`) can actually trip:
+:class:`~repro.broker.service.BrokerService` and the federation router
+are *synchronous* objects whose multi-step updates (decision-memo
+check-then-insert, cross-shard reserve bookkeeping) are atomic **only
+because they never yield and only one thread drives them**.  These
+helpers turn that unstated assumption into an assertion that the
+interleaving fuzzer (:mod:`repro.chaos.interleave`) can actually trip:
 
 * :func:`atomic_between_awaits` — decorator.  On a sync function it
   asserts no other thread/task is inside the section concurrently; on

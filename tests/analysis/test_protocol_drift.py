@@ -287,114 +287,3 @@ class TestFederationDrift:
                 return AllocateParams(n_processes=1)
         """
         assert lint(files) == []
-
-
-_FLEET_PROTOCOL = """
-    OPS = ("allocate", "status")
-    FLEET_OPS = ("fleet_plan", "fleet_status")
-
-    def parse_request(op):
-        if op == "allocate":
-            return 1
-        if op == "status":
-            return 2
-        if op == "fleet_plan":
-            return 3
-        if op == "fleet_status":
-            return 4
-"""
-
-_FLEET_SERVER = """
-    def dispatch(request):
-        if request.op == "allocate":
-            return 1
-        if request.op == "fleet_plan":
-            return 2
-        if request.op == "fleet_status":
-            return 3
-        if request.op == "status":
-            return 4
-"""
-
-_FLEET_CLIENT = """
-    _RETRY_SAFE_OPS = frozenset({"status", "fleet_status"})
-
-    class BrokerClient:
-        def allocate(self):
-            return self.call("allocate", {})
-
-        def status(self):
-            return self.call("status", {})
-
-        def fleet_plan(self):
-            return self.call("fleet_plan", {})
-
-        def fleet_status(self):
-            return self.call("fleet_status")
-"""
-
-
-def fleet_corpus(**overrides):
-    files = {
-        "src/repro/broker/protocol.py": _FLEET_PROTOCOL,
-        "src/repro/broker/server.py": _FLEET_SERVER,
-        "src/repro/broker/client.py": _FLEET_CLIENT,
-    }
-    files.update(overrides)
-    return files
-
-
-class TestFleetDrift:
-    def test_synced_fleet_corpus_is_clean(self, lint):
-        assert lint(fleet_corpus()) == []
-
-    def test_fleet_op_missing_from_server_dispatch(self, lint):
-        files = fleet_corpus()
-        files["src/repro/broker/server.py"] = """
-            def dispatch(request):
-                if request.op == "allocate":
-                    return 1
-                if request.op == "fleet_plan":
-                    return 2
-                if request.op == "status":
-                    return 3
-        """
-        findings = lint(files)
-        assert rules_of(findings) == ["PRO009"]
-        assert "fleet_status" in findings[0].message
-        assert findings[0].path.endswith("server.py")
-
-    def test_fleet_op_missing_from_parser(self, lint):
-        files = fleet_corpus()
-        files["src/repro/broker/protocol.py"] = """
-            OPS = ("allocate", "status")
-            FLEET_OPS = ("fleet_plan", "fleet_status")
-
-            def parse_request(op):
-                if op == "allocate":
-                    return 1
-                if op == "status":
-                    return 2
-                if op == "fleet_plan":
-                    return 3
-        """
-        findings = lint(files)
-        assert rules_of(findings) == ["PRO009"]
-        assert findings[0].path.endswith("protocol.py")
-
-    def test_fleet_op_missing_from_client(self, lint):
-        files = fleet_corpus()
-        files["src/repro/broker/client.py"] = _FLEET_CLIENT.replace(
-            """
-        def fleet_status(self):
-            return self.call("fleet_status")
-""",
-            "",
-        )
-        findings = lint(files)
-        assert rules_of(findings) == ["PRO010"]
-        assert "fleet_status" in findings[0].message
-
-    def test_retry_safe_may_name_fleet_status(self, lint):
-        # fleet_status in _RETRY_SAFE_OPS must NOT trip PRO004.
-        assert lint(fleet_corpus()) == []

@@ -1,12 +1,16 @@
 """Wire-protocol parsing, validation and encoding."""
 
+import ast
 import json
 
 import pytest
 
 from repro.broker.protocol import (
+    FEDERATION_OPS,
     MAX_LINE_BYTES,
+    OPS,
     PROTOCOL_VERSION,
+    TRANSPORT_OPS,
     AllocateParams,
     ErrorCode,
     ProtocolError,
@@ -71,6 +75,16 @@ class TestParseRequest:
         line(op="release", params={"lease_id": 7}),
         line(op="status", params="nope"),
         json.dumps({"id": "x", "op": "status"}),    # missing v
+        # non-finite TTLs would never expire; a non-finite remaining
+        # runtime defeats both cost/benefit gate comparisons
+        line(op="allocate", params={"n": 8, "ttl_s": float("nan")}),
+        line(op="allocate", params={"n": 8, "ttl_s": float("inf")}),
+        line(op="renew", params={"lease_id": "L1", "ttl_s": float("nan")}),
+        line(op="renew", params={"lease_id": "L1", "ttl_s": float("inf")}),
+        line(op="reconfigure",
+             params={"lease_id": "L1", "remaining_s": float("nan")}),
+        line(op="reconfigure",
+             params={"lease_id": "L1", "remaining_s": float("inf")}),
     ])
     def test_bad_requests(self, bad):
         with pytest.raises(ProtocolError) as err:
@@ -82,10 +96,14 @@ class TestParseRequest:
             parse_request(line(v=99))
         assert err.value.code == ErrorCode.UNSUPPORTED_VERSION
 
-    def test_unknown_op(self):
+    # the fleet verbs are retired: they must be typed denials now
+    @pytest.mark.parametrize("op", ["teleport", "fleet_plan", "fleet_status"])
+    def test_unknown_op(self, op):
         with pytest.raises(ProtocolError) as err:
-            parse_request(line(op="teleport"))
+            parse_request(line(op=op))
         assert err.value.code == ErrorCode.UNKNOWN_OP
+        listed = ast.literal_eval(err.value.message.split("choose from ")[1])
+        assert listed == OPS + FEDERATION_OPS + TRANSPORT_OPS
 
     def test_oversized_line_rejected(self):
         huge = line(op="allocate", params={"n": 8, "policy": "x" * MAX_LINE_BYTES})

@@ -18,7 +18,12 @@ from repro.broker import (
     BrokerServer,
     BrokerService,
 )
-from repro.broker.protocol import PROTOCOL_VERSION
+from repro.broker.protocol import (
+    FEDERATION_OPS,
+    OPS,
+    PROTOCOL_VERSION,
+    TRANSPORT_OPS,
+)
 from repro.monitor.snapshot import CachedSnapshotSource
 
 
@@ -124,10 +129,14 @@ class TestWireLevel:
         assert obj["error"]["code"] == "UNSUPPORTED_VERSION"
         assert obj["id"] == "x"  # id is salvaged for correlation
 
-    def test_unknown_op_rejected(self, daemon):
-        line = json.dumps({"v": 1, "id": "y", "op": "defrag"}) + "\n"
+    # the fleet verbs are retired: a daemon must deny them like any typo
+    @pytest.mark.parametrize("op", ["defrag", "fleet_plan", "fleet_status"])
+    def test_unknown_op_rejected(self, daemon, op):
+        line = json.dumps({"v": 1, "id": "y", "op": op}) + "\n"
         obj = self._talk(daemon, line.encode())
         assert obj["error"]["code"] == "UNKNOWN_OP"
+        listed = obj["error"]["message"].split("choose from ")[1]
+        assert listed == str(OPS + FEDERATION_OPS + TRANSPORT_OPS)
 
 
 class TestBackpressure:

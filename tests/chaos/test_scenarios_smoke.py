@@ -2,7 +2,7 @@
 
 The full matrix runs via ``make chaos``; this keeps the fastest,
 highest-signal scenarios (healthy baseline, corrupt store, mid-migration
-death, mid-fleet-pass death, shard death mid-cross-shard-reserve) inside
+death, shard death mid-cross-shard-reserve, seeded interleavings) inside
 the regular pytest tier so a regression in the degradation paths fails
 the ordinary test run too.
 """
@@ -18,9 +18,8 @@ from repro.chaos.scenarios import SCENARIOS, SMOKE_SCENARIOS
 class TestSelection:
     def test_smoke_set_is_a_subset_of_the_matrix(self):
         assert set(SMOKE_SCENARIOS) <= set(SCENARIOS)
-        assert len(SMOKE_SCENARIOS) == 8
+        assert len(SMOKE_SCENARIOS) == 7
         assert "shard_death_cross_reserve" in SMOKE_SCENARIOS
-        assert "fleet_pass_partial_failure" in SMOKE_SCENARIOS
         assert "interleave_pipelined_burst" in SMOKE_SCENARIOS
         assert "interleave_shutdown_drain" in SMOKE_SCENARIOS
         assert "interleave_atomic_sections" in SMOKE_SCENARIOS

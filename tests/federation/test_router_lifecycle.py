@@ -207,3 +207,21 @@ class TestStatusShape:
         assert set(fed["shards"]) == set(router.shard_ids)
         assert fed["counters"]["cross_shard_grants"] == 1
         assert status["metrics"]["granted"] >= 1
+
+
+class TestStatusCounters:
+    def test_shard_rows_carry_malleability_counters(self, small_sc):
+        router = make_federation(small_sc, 2)
+        grant = allocate(router, n_processes=8, ppn=4)
+        owner = grant["lease_id"].split(":")[0]
+        out = router.reconfigure(
+            ReconfigureParams(lease_id=grant["lease_id"], remaining_s=TTL)
+        )
+        rows = router.status()["federation"]["shards"]
+        for sid in router.shard_ids:
+            row = rows[sid]
+            # only the owning shard saw the reconfigure, and it counted
+            # the outcome exactly once
+            decided = row["reconfigured"] + row["reconfig_rejected"]
+            assert decided == (1 if sid == owner else 0)
+        assert rows[owner]["reconfigured"] == int(out["reconfigured"])

@@ -1,9 +1,9 @@
 """Every experiment driver accepts a scenario name (wiring coverage).
 
-The elastic and fleet drivers compose a scenario's topology, background
-processes and arrivals with their own drifting ambient load; these
-tests pin the composition rules and that a scenario world threads all
-the way through each driver without disturbing the legacy (None) path.
+The elastic driver composes a scenario's topology, background
+processes and arrivals with its own drifting ambient load; these tests
+pin the composition rules and that a scenario world threads all the
+way through the driver without disturbing the legacy (None) path.
 """
 
 from __future__ import annotations

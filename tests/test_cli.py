@@ -20,6 +20,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet"], ["client", "fleet-plan"], ["client", "fleet-status"],
+    ])
+    def test_retired_fleet_commands_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_defaults(self):
         args = build_parser().parse_args(["allocate"])
         assert args.procs == 32 and args.ppn == 4
@@ -206,7 +214,6 @@ class TestScenarios:
         for argv in (
             ["allocate", "--scenario", "mesh"],
             ["elastic", "--scenario", "bursty"],
-            ["fleet", "--scenario", "fat-tree"],
             ["chaos", "--scenario", "bursty"],
         ):
             args = build_parser().parse_args(argv)

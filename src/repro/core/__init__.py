@@ -7,7 +7,6 @@ from repro.core.arrays import (
     generate_all_candidates_fast,
     load_state,
     score_candidates_fast,
-    select_best_fast,
 )
 from repro.core.attributes import ATTRIBUTE_NAMES, ATTRIBUTES, Attribute, Criterion
 from repro.core.broker import BrokerResult, ResourceBroker, WaitRecommended
@@ -54,7 +53,6 @@ __all__ = [
     "generate_all_candidates_fast",
     "load_state",
     "score_candidates_fast",
-    "select_best_fast",
     "ATTRIBUTE_NAMES",
     "ATTRIBUTES",
     "Attribute",

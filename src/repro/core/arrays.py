@@ -21,21 +21,29 @@ into NumPy arrays and replays both algorithms as array operations:
   starting nodes at once: one addition-cost matrix
   ``A = α·CL[None, :] + β·NL``, one stable per-row lexsort, one
   cumulative-sum cutoff of effective processor counts, and a closed-form
-  round-robin remainder.
-* :func:`best_candidate_fast` — Algorithm 2 / Equation 4 via a candidate
-  membership matrix ``M``: compute costs ``C = M·CL`` and network costs
-  ``N = ½·diag(M·NL·Mᵀ)``.
+  round-robin remainder.  The array step underneath (:class:`Growth`:
+  visit order and per-visit takes per seed) is materialized into
+  :class:`~repro.core.candidate.CandidateSubgraph` objects only for the
+  callers that need them.
+* :func:`best_candidate_fast` — Algorithm 2 / Equation 4 straight from
+  the growth arrays (:func:`select_best_fast`); only the winner is
+  materialized.
+* :func:`score_candidates_fast` — Equation 4 over an arbitrary candidate
+  list via a membership matrix ``M``: compute costs ``C = M·CL`` and
+  network costs ``N = ½·diag(M·NL·Mᵀ)`` (the elastic planner's scorer).
 
 Exactness contract: a slice normalizes with the reference's own
 left-to-right Python sums, in the reference's iteration order, and
 NumPy's element-wise ``α·CL + β·NL`` is bit-identical to the scalar
 expression, so the per-row lexsort reproduces the reference candidate
 *exactly* (same nodes, same process counts, same tie-breaks).
-Equation-4 totals are summed in a different order than the reference
-(pairwise vs. sequential float addition), so when the top two
-candidates land within ``_TIE_RTOL`` the winner is re-derived with the
-reference :func:`repro.core.selection.select_best` — guaranteeing the
-fast path returns the identical allocation even under exact ties.
+:func:`select_best_fast` then repeats the reference's Equation-4
+arithmetic in the reference's order: builtin ``sum`` wherever the
+reference calls it (compensated since Python 3.12, so a NumPy sum may
+not stand in for it) and a sequential ``np.cumsum`` fold wherever it
+loops ``total +=``.  Every total, and so the winner under exact ties,
+is the reference's bit for bit.  :func:`score_candidates_fast` and the
+seed-pruned fleet path sum with NumPy instead and have no such contract.
 """
 
 from __future__ import annotations
@@ -52,18 +60,12 @@ from repro.core.candidate import CandidateSubgraph
 from repro.core.effective_procs import effective_proc_count
 from repro.core.network_load import PairKey, pair_inputs
 from repro.core.normalization import NORMALIZERS
-from repro.core.selection import ScoredCandidate, select_best
+from repro.core.selection import ScoredCandidate
 from repro.core.weights import ComputeWeights, NetworkWeights, TradeOff
 from repro.monitor.snapshot import ClusterSnapshot, derived_cache
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (delta → arrays)
     from repro.monitor.delta import SnapshotDelta
-
-#: Relative gap between the best and second-best Equation-4 totals below
-#: which the winner is recomputed with the reference implementation.
-#: Array and dict totals agree to ~1e-13 relative, so any gap larger
-#: than this guarantees both paths rank the winner identically.
-_TIE_RTOL = 1e-9
 
 #: node count above which :func:`best_candidate_fast` may switch to the
 #: seed-pruned approximate path (when a threshold is passed in)
@@ -74,6 +76,8 @@ PRUNE_KEEP_DEFAULT = 32
 #: key under which a snapshot's :class:`ArrayStore` lives in its
 #: ``derived_cache``
 STORE_KEY = "array_store"
+#: most pair values :func:`_pair_folds` gathers at once (8 bytes each)
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ class LoadState:
 
     A slice of its snapshot's :class:`ArrayStore`.  The reference dicts
     (``cl``, ``nl``, ``pc``) are derived from the arrays on first access,
-    for the exact-equivalence tie fallback and the hierarchical policy.
+    for the hierarchical policy and the equivalence suites' oracle.
     """
 
     #: node names in index order (the usable-node order)
@@ -390,24 +394,33 @@ def generate_all_candidates_fast(
     :func:`repro.core.candidate.generate_all_candidates` run on the same
     reference dicts.
     """
-    v = len(state.nodes)
-    if n_processes > 0 and v == 0:
-        return []
-    return _candidates_for_seeds(
-        state, np.arange(v, dtype=np.intp), n_processes, tradeoff
-    )
+    seeds = np.arange(len(state.nodes), dtype=np.intp)
+    return _materialize(state, _grow(state, seeds, n_processes, tradeoff))
 
 
-def _candidates_for_seeds(
+@dataclass(frozen=True)
+class Growth:
+    """Algorithm 1 for a set of seeds, as arrays: one row per seed."""
+
+    #: seed columns
+    seeds: np.ndarray
+    #: (S, V) node columns in visit order
+    order: np.ndarray
+    #: (S, V) processes taken at each visit — 0 past the last visit and
+    #: at visited nodes with no free processor, which the candidate drops
+    takes: np.ndarray
+
+
+def _grow(
     state: LoadState,
     seeds: np.ndarray,
     n_processes: int,
     tradeoff: TradeOff,
-) -> list[CandidateSubgraph]:
+) -> Growth:
     """Algorithm 1 for an arbitrary seed subset (rows of the cost matrix).
 
-    With ``seeds == arange(V)`` this is exactly the all-seeds fast path
-    (same element-wise ``α·CL + β·NL`` IEEE sequence, same lexsort); the
+    With ``seeds == arange(V)`` this is the all-seeds fast path (same
+    element-wise ``α·CL + β·NL`` IEEE sequence, same lexsort); the
     pruned path passes only the surviving seeds and builds K×V instead
     of V×V intermediates.
     """
@@ -416,7 +429,8 @@ def _candidates_for_seeds(
     v = len(state.nodes)
     s = len(seeds)
     if v == 0 or s == 0:
-        return []
+        empty = np.zeros((s, v), dtype=np.intp)
+        return Growth(seeds, empty, empty.astype(np.int64))
     rows = np.arange(s)
     costs = (
         tradeoff.alpha * state.cl_vec[None, :]
@@ -437,36 +451,38 @@ def _candidates_for_seeds(
     # Nodes are visited while the running total is short of the request,
     # so the visit count is (first covering index + 1), or all V nodes.
     k = np.where(any_covered, covered.argmax(axis=1) + 1, v)
+    col = np.arange(v)
+    takes = np.where(col[None, :] < k[:, None], caps, 0)
+    # Last visited node is truncated to the remaining need.
+    r = np.flatnonzero(any_covered)
+    last = k[r] - 1
+    takes[r, last] = n_processes - (cum[r, last] - caps[r, last])
+    # Cluster exhausted: Algorithm 1 lines 12-13 round-robin the
+    # remainder over the visited nodes (all V of them), in visit order.
+    r = np.flatnonzero(~any_covered)
+    if len(r):
+        extra, first = np.divmod(n_processes - cum[r, -1], v)
+        takes[r] += extra[:, None] + (col[None, :] < first[:, None])
+    return Growth(seeds, order, takes)
 
+
+def _materialize(state: LoadState, growth: Growth) -> list[CandidateSubgraph]:
+    """One :class:`CandidateSubgraph` per row, zero-take nodes dropped."""
     names = state.nodes
+    kept = growth.takes > 0
+    cols = growth.order[kept].tolist()  # row-major: visit order per row
+    takes = growth.takes[kept].tolist()
     out: list[CandidateSubgraph] = []
-    for i in range(s):
-        ki = int(k[i])
-        idx = order[i, :ki]
-        takes = caps[i, :ki].copy()
-        filled = int(cum[i, ki - 1])
-        if filled >= n_processes:
-            # Last visited node is truncated to the remaining need.
-            prev = int(cum[i, ki - 2]) if ki >= 2 else 0
-            takes[-1] = n_processes - prev
-        else:
-            # Cluster exhausted: Algorithm 1 lines 12-13 round-robin the
-            # remainder over the visited nodes, in visit order.
-            extra, first = divmod(n_processes - filled, ki)
-            takes += extra
-            takes[:first] += 1
-        sel_nodes: list[str] = []
-        procs: dict[str, int] = {}
-        for j, take in zip(idx.tolist(), takes.tolist()):
-            if take > 0:
-                name = names[j]
-                sel_nodes.append(name)
-                procs[name] = int(take)
+    lo = 0
+    for seed, count in zip(growth.seeds.tolist(), kept.sum(axis=1).tolist()):
+        hi = lo + count
+        sel = tuple(names[j] for j in cols[lo:hi])
         out.append(
             CandidateSubgraph(
-                start=names[int(seeds[i])], nodes=tuple(sel_nodes), procs=procs
+                start=names[seed], nodes=sel, procs=dict(zip(sel, takes[lo:hi]))
             )
         )
+        lo = hi
     return out
 
 
@@ -516,40 +532,84 @@ def _score_arrays(
 
 
 def select_best_fast(
-    state: LoadState,
-    candidates: Sequence[CandidateSubgraph],
-    tradeoff: TradeOff,
+    state: LoadState, growth: Growth, tradeoff: TradeOff
 ) -> ScoredCandidate:
-    """Algorithm 2 on arrays, falling back to the reference under ties.
+    """Algorithm 2 / Equation 4 over grown candidates, on arrays.
 
-    The fallback makes the fast path allocation-identical to
-    :func:`repro.core.selection.select_best`: whenever the two best
-    array totals are within ``_TIE_RTOL`` (where float summation order
-    could flip the ranking), the winner is re-derived from the reference
-    dicts the state derives on demand.
+    Reproduces :func:`repro.core.selection.score_candidates` and
+    :func:`~repro.core.selection.select_best` bit for bit by doing the
+    reference's arithmetic in the reference's order: each compute cost
+    and both totals are builtin ``sum`` over the same floats (compensated
+    since Python 3.12, so NumPy's sums may not stand in for it), and each
+    network cost is a sequential fold (:func:`_pair_folds`).  Only the
+    winner is materialized.
     """
-    if not candidates:
-        raise ValueError("no candidates to select from")
-    c_raw, n_raw, c_norm, n_norm, totals = _score_arrays(
-        state, candidates, tradeoff
-    )
-    ranked = sorted(
-        range(len(candidates)),
-        key=lambda i: (totals[i], candidates[i].start),
-    )
-    best = ranked[0]
-    if len(ranked) > 1:
-        gap = float(totals[ranked[1]] - totals[best])
-        if gap <= _TIE_RTOL * max(1.0, abs(float(totals[best]))):
-            return select_best(candidates, state.cl, state.nl, tradeoff)
+    # Every grown candidate takes at least one process, so the reference's
+    # filter on empty candidates only ever drops a V = 0 growth.
+    if not len(growth.seeds):
+        raise ValueError("candidate generation produced no groups")
+    kept = growth.takes > 0
+    counts = kept.sum(axis=1)
+    members = growth.order[kept]  # row-major: each row's nodes in visit order
+    flat = state.cl_vec[members].tolist()
+    c_raw: list[float] = []
+    lo = 0
+    for hi in np.cumsum(counts).tolist():
+        c_raw.append(sum(flat[lo:hi]))
+        lo = hi
+    # The same nodes left-aligned in a (S, max count) matrix.
+    padded = np.zeros((len(counts), int(counts.max())), dtype=np.intp)
+    padded[np.arange(padded.shape[1])[None, :] < counts[:, None]] = members
+    n_raw = _pair_folds(state.nl_mat, padded, counts)
+
+    c_total = sum(c_raw)
+    n_total = sum(n_raw.tolist())
+    c_vec = np.array(c_raw)
+    c_norm = c_vec / c_total if c_total > 0 else np.zeros_like(c_vec)
+    n_norm = n_raw / n_total if n_total > 0 else np.zeros_like(n_raw)
+    totals = (tradeoff.alpha * c_norm + tradeoff.beta * n_norm).tolist()
+    names = state.nodes
+    starts = [names[j] for j in growth.seeds.tolist()]
+    best = min(range(len(totals)), key=lambda i: (totals[i], starts[i]))
+    row = [best]
+    winner = Growth(growth.seeds[row], growth.order[row], growth.takes[row])
     return ScoredCandidate(
-        candidate=candidates[best],
-        compute_cost=float(c_raw[best]),
+        candidate=_materialize(state, winner)[0],
+        compute_cost=c_raw[best],
         network_cost=float(n_raw[best]),
         compute_cost_normalized=float(c_norm[best]),
         network_cost_normalized=float(n_norm[best]),
-        total=float(totals[best]),
+        total=totals[best],
     )
+
+
+def _pair_folds(
+    nl_mat: np.ndarray, members: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Each row's ``N_G``, folded like the reference's ``total += NL``.
+
+    Row ``i`` lists its group's columns in ``members[i, :counts[i]]``.
+    Its pairs are taken in ``itertools.combinations`` order (the upper
+    triangle, row-major), pairs past its size are masked to ``0.0``, and
+    ``np.cumsum`` — a sequential fold, unlike NumPy's pairwise ``sum`` —
+    runs along them.  Rows are processed in blocks of at most
+    ``_PAIR_BLOCK`` pair values, so memory stays flat at any group size.
+    """
+    s, width = members.shape
+    p, q = np.triu_indices(width, 1)
+    out = np.zeros(s, dtype=np.float64)
+    if not len(p):
+        return out
+    flat = nl_mat.ravel()
+    step = max(1, _PAIR_BLOCK // len(p))
+    for lo in range(0, s, step):
+        block = members[lo : lo + step]
+        idx = (block * nl_mat.shape[1])[:, p]
+        idx += block[:, q]
+        vals = flat.take(idx)
+        vals[q[None, :] >= counts[lo : lo + step, None]] = 0.0
+        out[lo : lo + step] = np.cumsum(vals, axis=1)[:, -1]
+    return out
 
 
 def best_candidate_fast(
@@ -565,7 +625,7 @@ def best_candidate_fast(
     When ``prune_threshold`` is set and the state has more nodes than
     that, the seed-pruned approximate path runs instead (see
     :func:`_best_candidate_pruned`); below the threshold the result is
-    bit-identical to the exhaustive pipeline.
+    bit-identical to the dict reference.
     """
     v = len(state.nodes)
     if (
@@ -574,14 +634,8 @@ def best_candidate_fast(
         and 0 < prune_keep < v
     ):
         return _best_candidate_pruned(state, n_processes, tradeoff, prune_keep)
-    candidates = [
-        c
-        for c in generate_all_candidates_fast(state, n_processes, tradeoff)
-        if c.nodes
-    ]
-    if not candidates:
-        raise ValueError("candidate generation produced no groups")
-    return select_best_fast(state, candidates, tradeoff)
+    growth = _grow(state, np.arange(v, dtype=np.intp), n_processes, tradeoff)
+    return select_best_fast(state, growth, tradeoff)
 
 
 def _seed_lower_bounds(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
@@ -624,9 +678,9 @@ def _best_candidate_pruned(
 
     Two documented approximations versus the exhaustive path: Equation-4
     normalization runs over the surviving candidate set rather than all
-    |V| candidates, and ties resolve by the deterministic
-    ``(total, start)`` key with no reference-dict fallback.  Both paths
-    coincide whenever ``keep >= V`` — the regression suite pins that.
+    |V| candidates, and costs are NumPy (pairwise) sums rather than the
+    reference's summation order, so near-ties may rank differently.  The
+    winner is still picked by the deterministic ``(total, start)`` key.
     """
     if n_processes <= 0:
         raise ValueError(f"n_processes must be positive, got {n_processes}")
@@ -642,7 +696,9 @@ def _best_candidate_pruned(
     seeds = np.sort(part).astype(np.intp)  # candidate order = node order
     candidates = [
         c
-        for c in _candidates_for_seeds(state, seeds, n_processes, tradeoff)
+        for c in _materialize(
+            state, _grow(state, seeds, n_processes, tradeoff)
+        )
         if c.nodes
     ]
     if not candidates:

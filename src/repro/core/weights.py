@@ -12,6 +12,7 @@ All empirical values come from §5 of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -43,6 +44,9 @@ class ComputeWeights:
                 raise ValueError(f"weight for {name!r} must be non-negative, got {w}")
         if all(w == 0 for w in self.weights.values()):
             raise ValueError("at least one compute weight must be positive")
+        for name, w in self.weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"weight for {name!r} must be finite, got {w}")
 
     def get(self, name: str) -> float:
         return float(self.weights.get(name, 0.0))
@@ -76,6 +80,10 @@ class NetworkWeights:
             raise ValueError(
                 f"w_lt + w_bw must equal 1, got {self.w_lt + self.w_bw}"
             )
+        if not (math.isfinite(self.w_lt) and math.isfinite(self.w_bw)):
+            raise ValueError(
+                f"network weights must be finite: {self.w_lt}, {self.w_bw}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,10 @@ class TradeOff:
         if abs(self.alpha + self.beta - 1.0) > 1e-6:
             raise ValueError(
                 f"alpha + beta must equal 1, got {self.alpha + self.beta}"
+            )
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(
+                f"alpha/beta must be finite: {self.alpha}, {self.beta}"
             )
 
     @classmethod

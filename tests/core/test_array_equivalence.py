@@ -3,10 +3,10 @@
 Seeded sweep over random snapshots (varying node counts, missing pairs,
 zero-load and fully-loaded nodes, dead hosts) asserting that
 ``NetworkLoadAwarePolicy(use_arrays=True)`` returns the identical
-``Allocation`` — nodes, process counts, and metadata within 1e-9 — as
-the dict reference oracle, plus determinism checks for the remaining
-paper policies under the same refactor (exclude masks, hoisted
-penalties).
+``Allocation`` — nodes, process counts, and bit-identical Equation-4
+metadata — as the dict reference oracle, plus determinism checks for
+the remaining paper policies under the same refactor (exclude masks,
+hoisted penalties).
 """
 
 from __future__ import annotations
@@ -91,11 +91,12 @@ def random_snapshot(
 
 
 def assert_allocations_equal(a, b):
+    """Same nodes, same process counts and bit-identical metadata."""
     assert a.nodes == b.nodes
     assert dict(a.procs) == dict(b.procs)
     assert set(a.metadata) == set(b.metadata)
     for key in a.metadata:
-        assert abs(a.metadata[key] - b.metadata[key]) <= 1e-9, key
+        assert a.metadata[key] == b.metadata[key], key
 
 
 def _requests(rng: np.random.Generator, capacity: int):
@@ -111,7 +112,7 @@ def _requests(rng: np.random.Generator, capacity: int):
             n_processes=n, ppn=ppn, tradeoff=TradeOff.from_alpha(alpha)
         )
     # Oversubscribed: forces the Algorithm-1 round-robin remainder and
-    # same-node-set candidates (the Equation-4 tie-fallback path).
+    # same-node-set candidates (exact or last-bit Equation-4 ties).
     yield AllocationRequest(
         n_processes=2 * capacity + 3, ppn=4, tradeoff=TradeOff.from_alpha(0.5)
     )

@@ -143,8 +143,8 @@ class TestDegenerateNormalization:
 
     def test_oversubscribed_identical_candidates(self):
         """Request beyond cluster capacity: all |V| candidates share one
-        node set and the Equation-4 totals tie exactly — the fast path's
-        reference fallback must reproduce the dict winner."""
+        node set and the Equation-4 totals tie exactly — the fast path
+        must still pick the dict winner."""
         pairs = {
             (a, b): (100.0, 100.0)
             for a, b in itertools.combinations(NAMES, 2)

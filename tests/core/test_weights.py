@@ -1,5 +1,7 @@
 """Tests for weight profiles."""
 
+import math
+
 import pytest
 
 from repro.core.weights import (
@@ -38,6 +40,11 @@ class TestComputeWeights:
         with pytest.raises(ValueError):
             ComputeWeights({"cpu_load": 0.0})
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_non_finite_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            ComputeWeights({"cpu_load": w})
+
     def test_unset_attribute_is_zero(self):
         cw = ComputeWeights({"cpu_load": 1.0})
         assert cw.get("cpu_util") == 0.0
@@ -55,6 +62,10 @@ class TestNetworkWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             NetworkWeights(w_lt=-0.1, w_bw=1.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkWeights(math.nan, math.nan)
 
 
 class TestTradeOff:
@@ -77,3 +88,7 @@ class TestTradeOff:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             TradeOff(alpha=-0.2, beta=1.2)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            TradeOff.from_alpha(math.nan)

@@ -3,7 +3,7 @@
 The acceptance bar for the vectorized allocator is *bitwise agreement on
 the decision*: for every randomized snapshot and request shape, the
 NumPy fast path (``use_arrays=True``) must pick the identical node
-group, process layout, and metadata (within 1e-9) as the pure-dict
+group, process layout, and bit-identical metadata as the pure-dict
 reference implementation (``use_arrays=False``).  This sweep is the
 volume complement to tests/core/test_array_equivalence.py: same
 helpers, ~500 seeded trials spanning missing pairs, degenerate loads,

@@ -8,7 +8,7 @@ test:
 	pytest tests/
 
 # In-tree invariant checks (determinism / async-safety / typed errors /
-# protocol drift / async races) — stdlib-only, always available.  Exit 1
+# idempotency tokens / async races) — stdlib-only, always available.  Exit 1
 # on any finding not grandfathered in lint-baseline.json
 # (docs/ANALYSIS.md).  mypy/ruff are optional extras
 # (`pip install -e ".[lint]"`); the targets skip gracefully where they

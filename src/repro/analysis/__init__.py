@@ -11,8 +11,8 @@ already rely on:
 * **typed errors** (``ERR*``) — broad catches carry a justification
   pragma, and the wire ``ErrorCode`` enum stays exhaustive between
   server and client;
-* **protocol drift** (``PRO*``) — client verbs, dispatch ladders, and
-  the declared op set never diverge.
+* **idempotency** (``PRO008``) — federation code never drops the
+  client's allocate dedupe token.
 
 Pre-existing violations are grandfathered in ``lint-baseline.json``;
 anything new fails the gate (exit 1).  See ``docs/ANALYSIS.md``.

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checks: determinism, async-safety, "
-        "typed-error discipline, protocol drift, async races",
+        "typed-error discipline, idempotency tokens, async races",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,

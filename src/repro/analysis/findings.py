@@ -65,7 +65,7 @@ class RuleInfo:
     """Registry metadata for one rule id (for ``--list-rules`` and docs)."""
 
     rule: str
-    family: str  #: ``determinism`` / ``async-safety`` / ``typed-errors`` / ``protocol-drift``
+    family: str  #: ``determinism`` / ``async-safety`` / ``typed-errors`` / ``idempotency``
     summary: str
 
 

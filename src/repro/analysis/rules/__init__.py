@@ -13,7 +13,7 @@ from repro.analysis.findings import RuleInfo
 from repro.analysis.rules import (
     asyncsafety,
     determinism,
-    protocol_drift,
+    idempotency,
     typederrors,
 )
 
@@ -28,7 +28,7 @@ FILE_RULES = (
 #: project rules: run once over the whole corpus
 PROJECT_RULES = (
     typederrors.check_project,
-    protocol_drift.check_project,
+    idempotency.check_project,
 )
 
 #: every known rule id with its family and summary (``--list-rules``)
@@ -37,6 +37,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
     *determinism.RULES,
     *asyncsafety.RULES,
     *typederrors.RULES,
-    *protocol_drift.RULES,
+    *idempotency.RULES,
     *race.RULES,
 )

@@ -34,18 +34,13 @@ from typing import Any, Callable, Mapping
 
 from repro.broker.protocol import (
     FRAME_HEADER,
+    OP_TABLE,
     PROTOCOL_VERSION,
     encode_frame,
     encode_request,
     load_payload,
     request_obj,
 )
-
-#: operations the client retries on transport death without being told.
-#: ``status``/``shards``/``resolve`` are read-only; ``allocate`` is safe
-#: only because the typed helper always attaches a dedupe token (see
-#: :meth:`BrokerClient.call`).
-_RETRY_SAFE_OPS = frozenset({"allocate", "status", "shards", "resolve"})
 
 #: every error code this client understands: the full server-side
 #: :class:`~repro.broker.protocol.ErrorCode` enum plus the two codes the
@@ -277,13 +272,15 @@ class BrokerClient:
 
         Transport deaths (``CONNECT``/``TIMEOUT``) are retried up to
         ``transport_retries`` times with jittered exponential backoff —
-        but only for operations that are safe to replay: ``status`` is
-        read-only, and ``allocate`` only when the request carries an
+        but only for ops whose :data:`~repro.broker.protocol.OP_TABLE`
+        row is ``retry_safe``: the read-only ``status``/``shards``/
+        ``resolve``, and ``allocate`` only when the request carries an
         idempotency ``token`` the server dedupes on.  ``renew``,
         ``release`` and ``reconfigure`` are never replayed automatically;
         the caller sees the transport error and decides.
         """
-        retryable = op in _RETRY_SAFE_OPS and (
+        spec = OP_TABLE.get(op)
+        retryable = spec is not None and spec.retry_safe and (
             op != "allocate" or bool((params or {}).get("token"))
         )
         attempts = self.transport_retries + 1 if retryable else 1

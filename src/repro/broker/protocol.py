@@ -17,10 +17,12 @@ Failures carry a structured error instead of a result:
     {"v": 1, "id": "c1-8", "ok": false,
      "error": {"code": "BUSY", "message": "admission queue full"}}
 
-Everything here is transport-free: parsing, validation and encoding only.
-The daemon (:mod:`repro.broker.server`) and the client library
-(:mod:`repro.broker.client`) share this module, so a version or schema
-change happens in exactly one place.
+Everything here is transport-free: the op table (:data:`OP_TABLE`),
+parsing, validation, encoding, and the inline :func:`dispatch`.  The
+daemons (:mod:`repro.broker.server`, :mod:`repro.federation.daemon`),
+the chaos transport and the client library (:mod:`repro.broker.client`)
+share this module, so a verb, version or schema change happens in
+exactly one place.
 
 Transport negotiation (still protocol v1, fully backward compatible): a
 connection starts in JSON-lines mode; a ``hello`` request may switch it
@@ -38,15 +40,18 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 try:  # optional accelerator; the wire format gates on importability
     import msgpack as _msgpack  # type: ignore[import-not-found]
 except ImportError:  # pragma: no cover — exercised only without msgpack
     _msgpack = None
+
+log = logging.getLogger(__name__)
 
 #: Protocol version spoken by this build.  Requests carrying a different
 #: ``v`` are rejected with ``UNSUPPORTED_VERSION`` (no negotiation — the
@@ -65,7 +70,7 @@ class ErrorCode(str, enum.Enum):
     BAD_REQUEST = "BAD_REQUEST"
     #: request ``v`` differs from :data:`PROTOCOL_VERSION`
     UNSUPPORTED_VERSION = "UNSUPPORTED_VERSION"
-    #: ``op`` is not one of allocate/renew/release/reconfigure/status
+    #: ``op`` is not in :data:`OP_TABLE`, or this daemon does not serve it
     UNKNOWN_OP = "UNKNOWN_OP"
     #: admission queue full — retry later (backpressure, not failure)
     BUSY = "BUSY"
@@ -104,22 +109,12 @@ class ProtocolError(Exception):
         self.message = message
 
 
-#: Operations a client may request.
-OPS = ("allocate", "renew", "release", "reconfigure", "status")
-
-#: Transport-negotiation verbs — answered by the transport layer itself
-#: (the daemon or the chaos transport mirror), never dispatched to the
-#: service.  Kept out of :data:`OPS` so service-level surfaces (dispatch
-#: ladders, retry policy) are not forced to know about them.
-TRANSPORT_OPS = ("hello",)
-
-#: Router verbs spoken only by a federation daemon (``serve --shards N``).
-#: ``shards`` reports the router's per-subtree aggregates and scores;
-#: ``resolve`` maps a lease id to the shard that owns it.  Kept out of
-#: :data:`OPS` so a plain single-broker daemon (and the chaos transport
-#: mirror) is not forced to grow dead branches for them — the PRO lint
-#: family checks the federation ladders separately (PRO006/PRO007).
-FEDERATION_OPS = ("shards", "resolve")
+#: Op scopes, the ``scope`` column of :data:`OP_TABLE`.  Every daemon
+#: serves broker ops, only a federation daemon (``serve --shards N``)
+#: serves federation ops, and the transport answers transport ops itself.
+BROKER_SCOPE = "broker"
+FEDERATION_SCOPE = "federation"
+TRANSPORT_SCOPE = "transport"
 
 #: Codecs a connection may negotiate via ``hello``.  ``json`` is the
 #: JSON-lines default; ``binary`` is length-prefixed compact JSON;
@@ -164,6 +159,20 @@ class AllocateParams:
     ttl_s: float | None = None
     token: str | None = None
     priority: float = 0.0
+
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> AllocateParams:
+        alpha = _opt(raw, "alpha", (int, float), "params")
+        priority = _opt(raw, "priority", (int, float), "params")
+        return cls(
+            n_processes=_require(raw, "n", (int,), "params"),
+            ppn=_opt(raw, "ppn", (int,), "params"),
+            alpha=0.3 if alpha is None else float(alpha),
+            policy=_opt(raw, "policy", (str,), "params"),
+            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
+            token=_opt(raw, "token", (str,), "params"),
+            priority=0.0 if priority is None else float(priority),
+        )
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.priority):
@@ -213,6 +222,13 @@ class RenewParams:
     lease_id: str
     ttl_s: float | None = None
 
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> RenewParams:
+        return cls(
+            lease_id=_require(raw, "lease_id", (str,), "params"),
+            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
+        )
+
     def __post_init__(self) -> None:
         if not self.lease_id:
             raise ProtocolError(
@@ -236,6 +252,10 @@ class ReleaseParams:
 
     lease_id: str
 
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> ReleaseParams:
+        return cls(lease_id=_require(raw, "lease_id", (str,), "params"))
+
     def __post_init__(self) -> None:
         if not self.lease_id:
             raise ProtocolError(
@@ -258,6 +278,15 @@ class ReconfigureParams:
     lease_id: str
     remaining_s: float | None = None
     alpha: float | None = None
+
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> ReconfigureParams:
+        alpha = _opt(raw, "alpha", (int, float), "params")
+        return cls(
+            lease_id=_require(raw, "lease_id", (str,), "params"),
+            remaining_s=_opt(raw, "remaining_s", (int, float), "params"),
+            alpha=None if alpha is None else float(alpha),
+        )
 
     def __post_init__(self) -> None:
         if not self.lease_id:
@@ -285,10 +314,18 @@ class ReconfigureParams:
 class StatusParams:
     """Parameters of a ``status`` request (none defined in v1)."""
 
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> StatusParams:
+        return cls()
+
 
 @dataclass(frozen=True)
 class ShardsParams:
     """Parameters of a ``shards`` router request (none defined in v1)."""
+
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> ShardsParams:
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -296,6 +333,10 @@ class ResolveParams:
     """Parameters of a ``resolve`` router request."""
 
     lease_id: str
+
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> ResolveParams:
+        return cls(lease_id=_require(raw, "lease_id", (str,), "params"))
 
     def __post_init__(self) -> None:
         if not self.lease_id:
@@ -320,6 +361,22 @@ class HelloParams:
     pipeline: bool = False
     max_inflight: int = 32
 
+    @classmethod
+    def from_wire(cls, raw: Mapping[str, Any]) -> HelloParams:
+        pipeline = raw.get("pipeline", False)
+        if not isinstance(pipeline, bool):
+            raise ProtocolError(
+                ErrorCode.BAD_REQUEST,
+                f"params.pipeline must be a boolean, got {pipeline!r}",
+            )
+        max_inflight = _opt(raw, "max_inflight", (int,), "params")
+        codec = _opt(raw, "codec", (str,), "params")
+        return cls(
+            codec="json" if codec is None else codec,
+            pipeline=pipeline,
+            max_inflight=32 if max_inflight is None else max_inflight,
+        )
+
     def __post_init__(self) -> None:
         if not self.codec:
             raise ProtocolError(
@@ -342,6 +399,54 @@ Params = (
     | ShardsParams
     | ResolveParams
     | HelloParams
+)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One row of :data:`OP_TABLE`: how an op parses and who serves it."""
+
+    #: the params dataclass; its ``from_wire(raw)`` parses the wire fields
+    params: type[Params]
+    #: service method that serves the op (``None``: the transport does)
+    handler: str | None
+    #: :data:`BROKER_SCOPE`, :data:`FEDERATION_SCOPE` or :data:`TRANSPORT_SCOPE`
+    scope: str
+    #: rides the admission queue and the micro-batcher
+    admitted: bool = False
+    #: the client may replay it after a transport death (``allocate``
+    #: only with the idempotency token the client always attaches)
+    retry_safe: bool = False
+
+
+#: The wire verb set, declared once.  The parser, both daemons, the
+#: chaos transport and the client all read it.
+OP_TABLE: dict[str, OpSpec] = {
+    "allocate": OpSpec(
+        AllocateParams, "allocate_batch", BROKER_SCOPE,
+        admitted=True, retry_safe=True,
+    ),
+    "renew": OpSpec(RenewParams, "renew", BROKER_SCOPE),
+    "release": OpSpec(ReleaseParams, "release", BROKER_SCOPE),
+    # inline, not admitted: replanning is heavier than renew/release, but
+    # the service is synchronous anyway and reconfigure traffic is orders
+    # of magnitude rarer than allocate
+    "reconfigure": OpSpec(ReconfigureParams, "reconfigure", BROKER_SCOPE),
+    "status": OpSpec(StatusParams, "status", BROKER_SCOPE, retry_safe=True),
+    "shards": OpSpec(ShardsParams, "shards", FEDERATION_SCOPE, retry_safe=True),
+    "resolve": OpSpec(
+        ResolveParams, "resolve", FEDERATION_SCOPE, retry_safe=True
+    ),
+    "hello": OpSpec(HelloParams, None, TRANSPORT_SCOPE),
+}
+
+#: The ops of each scope, in table order.
+OPS = tuple(op for op, s in OP_TABLE.items() if s.scope == BROKER_SCOPE)
+FEDERATION_OPS = tuple(
+    op for op, s in OP_TABLE.items() if s.scope == FEDERATION_SCOPE
+)
+TRANSPORT_OPS = tuple(
+    op for op, s in OP_TABLE.items() if s.scope == TRANSPORT_SCOPE
 )
 
 
@@ -418,66 +523,20 @@ def parse_request_obj(obj: Any) -> Request:
         )
     req_id = str(_require(obj, "id", (str, int), "request"))
     op = _require(obj, "op", (str,), "request")
-    raw = obj.get("params") or {}
-    if not isinstance(raw, dict):
+    raw = obj.get("params")
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
         raise ProtocolError(
             ErrorCode.BAD_REQUEST, "request.params must be an object"
         )
-    if op == "allocate":
-        alpha = _opt(raw, "alpha", (int, float), "params")
-        priority = _opt(raw, "priority", (int, float), "params")
-        params: Params = AllocateParams(
-            n_processes=_require(raw, "n", (int,), "params"),
-            ppn=_opt(raw, "ppn", (int,), "params"),
-            alpha=0.3 if alpha is None else float(alpha),
-            policy=_opt(raw, "policy", (str,), "params"),
-            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
-            token=_opt(raw, "token", (str,), "params"),
-            priority=0.0 if priority is None else float(priority),
-        )
-    elif op == "renew":
-        params = RenewParams(
-            lease_id=_require(raw, "lease_id", (str,), "params"),
-            ttl_s=_opt(raw, "ttl_s", (int, float), "params"),
-        )
-    elif op == "release":
-        params = ReleaseParams(
-            lease_id=_require(raw, "lease_id", (str,), "params")
-        )
-    elif op == "reconfigure":
-        alpha = _opt(raw, "alpha", (int, float), "params")
-        params = ReconfigureParams(
-            lease_id=_require(raw, "lease_id", (str,), "params"),
-            remaining_s=_opt(raw, "remaining_s", (int, float), "params"),
-            alpha=None if alpha is None else float(alpha),
-        )
-    elif op == "status":
-        params = StatusParams()
-    elif op == "shards":
-        params = ShardsParams()
-    elif op == "resolve":
-        params = ResolveParams(
-            lease_id=_require(raw, "lease_id", (str,), "params")
-        )
-    elif op == "hello":
-        pipeline = raw.get("pipeline", False)
-        if not isinstance(pipeline, bool):
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"params.pipeline must be a boolean, got {pipeline!r}",
-            )
-        max_inflight = _opt(raw, "max_inflight", (int,), "params")
-        params = HelloParams(
-            codec=_opt(raw, "codec", (str,), "params") or "json",
-            pipeline=pipeline,
-            max_inflight=32 if max_inflight is None else max_inflight,
-        )
-    else:
+    spec = OP_TABLE.get(op)
+    if spec is None:
         raise ProtocolError(
             ErrorCode.UNKNOWN_OP,
-            f"unknown op {op!r}; choose from "
-            f"{OPS + FEDERATION_OPS + TRANSPORT_OPS}",
+            f"unknown op {op!r}; choose from {tuple(OP_TABLE)}",
         )
+    params = spec.params.from_wire(raw)
     return Request(id=req_id, op=op, params=params, v=version)
 
 
@@ -533,6 +592,59 @@ def response_obj(response: Response) -> dict[str, Any]:
 def encode_response(response: Response) -> bytes:
     """One response wire line."""
     return (json.dumps(response_obj(response), separators=(",", ":")) + "\n").encode()
+
+
+def best_effort_id(line: bytes) -> str:
+    """Salvage the request id from an unparseable line (for the reply)."""
+    try:
+        obj = json.loads(line)
+        if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
+            return str(obj["id"])
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
+        pass
+    return ""
+
+
+# ----------------------------------------------------------------------
+# serving
+
+def dispatch(
+    service: Any, request: Request, scopes: Collection[str]
+) -> Response:
+    """Serve one parsed request inline against ``service``; never raises.
+
+    The row's handler is looked up on ``service`` at call time and
+    called with the request's params; an admitted op is decided here as
+    a singleton batch.  An op outside ``scopes`` answers ``UNKNOWN_OP``,
+    a :class:`ProtocolError` its typed error, and any other exception
+    ``INTERNAL``.  Transport verbs are the caller's to answer.
+    """
+    spec = OP_TABLE[request.op]
+    try:
+        if spec.scope not in scopes:
+            raise ProtocolError(
+                ErrorCode.UNKNOWN_OP,
+                f"this daemon does not serve {spec.scope} op "
+                f"{request.op!r}; a federation daemon "
+                "(repro serve --shards N) serves every op",
+            )
+        assert spec.handler is not None, "the transport answers its own ops"
+        handler = getattr(service, spec.handler)
+        if spec.admitted:
+            result = handler([request.params])[0]
+            if isinstance(result, ProtocolError):
+                return error_response(request.id, result)
+        else:
+            result = handler(request.params)
+        return ok_response(request.id, result)
+    except ProtocolError as exc:
+        return error_response(request.id, exc)
+    except Exception as exc:  # noqa: BLE001 — a daemon must not die on a request
+        log.exception("internal error serving %s", request.op)
+        return error_response(
+            request.id,
+            ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -11,16 +11,17 @@ Transport architecture:
   ride the admission queue concurrently and responses are written as
   they complete — possibly out of order, matched by request ``id``.
   Exceeding the in-flight window answers ``BUSY`` immediately;
-* ``allocate`` requests flow through a **bounded admission queue** into
-  a single batcher task.  The batcher drains whatever accumulated while
-  the previous batch was being decided (plus, optionally, waits
+* admitted ops (``allocate``) flow through a **bounded admission queue**
+  into a single batcher task.  The batcher drains whatever accumulated
+  while the previous batch was being decided (plus, optionally, waits
   ``batch_window_s`` for stragglers), then decides the whole batch
   against one shared snapshot via
   :meth:`~repro.broker.service.BrokerService.allocate_batch`.  When the
   queue is full the connection handler answers ``BUSY`` immediately —
   explicit backpressure instead of unbounded buffering;
-* ``renew``/``release``/``status`` are cheap bookkeeping and are served
-  inline by the connection handler;
+* every other op in the daemon's :attr:`~BrokerServer.SCOPES` is served
+  inline by the connection handler through
+  :func:`~repro.broker.protocol.dispatch`; the rest answer ``UNKNOWN_OP``;
 * a **sweeper task** reclaims expired leases every ``sweep_period_s`` so
   capacity held by dead clients returns to the pool even if nobody ever
   allocates again.
@@ -38,17 +39,22 @@ import threading
 from typing import Any
 
 from repro.broker.protocol import (
+    BROKER_SCOPE,
     CODECS,
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
+    OP_TABLE,
     PROTOCOL_VERSION,
+    TRANSPORT_SCOPE,
     AllocateParams,
     ErrorCode,
     HelloParams,
     ProtocolError,
     Request,
     Response,
+    best_effort_id,
+    dispatch,
     encode_frame,
     encode_response,
     error_response,
@@ -100,6 +106,10 @@ class BrokerServer:
     batches exactly when traffic is heavy.  A positive window additionally
     waits that long for stragglers before deciding.
     """
+
+    #: op scopes this daemon serves (:data:`~repro.broker.protocol.OP_TABLE`);
+    #: any other op answers ``UNKNOWN_OP``
+    SCOPES: frozenset[str] = frozenset({BROKER_SCOPE, TRANSPORT_SCOPE})
 
     def __init__(
         self,
@@ -207,8 +217,10 @@ class BrokerServer:
         if self._queue is not None:
             while not self._queue.empty():
                 _, fut = self._queue.get_nowait()
+                # an admission future resolves to a grant or a denial,
+                # so _admit turns this into the waiter's typed reply
                 if not fut.done():
-                    fut.set_exception(
+                    fut.set_result(
                         ProtocolError(ErrorCode.INTERNAL, "server shutting down")
                     )
         server, self._server = self._server, None
@@ -361,11 +373,12 @@ class BrokerServer:
                 metrics.oversized_requests += 1
             elif conn.codec == "json" and not _parses_as_object(raw):
                 metrics.malformed_lines += 1
-            req_id = _best_effort_id(raw) if conn.codec == "json" else ""
+            req_id = best_effort_id(raw) if conn.codec == "json" else ""
             conn.out += self._encode_payload(conn, error_response(req_id, exc))
             return
         self.service.metrics.record_request(request.op)
-        if request.op == "hello":
+        spec = OP_TABLE[request.op]
+        if spec.scope == TRANSPORT_SCOPE:
             # Answered in the *current* codec; the upgrade applies to
             # every message after the response.
             response, upgrade = self._hello(request)
@@ -373,7 +386,7 @@ class BrokerServer:
             if upgrade is not None:
                 conn.codec, conn.pipeline, conn.max_inflight = upgrade
             return
-        if conn.pipeline and request.op == "allocate":
+        if conn.pipeline and spec.admitted:
             if len(pending) >= conn.max_inflight:
                 self.service.metrics.busy_rejected += 1
                 conn.out += self._encode_payload(conn, error_response(
@@ -391,7 +404,10 @@ class BrokerServer:
             pending.add(task)
             task.add_done_callback(pending.discard)
             return
-        response = await self._dispatch_safe(request)
+        if spec.admitted:
+            response = await self._admit(request)
+        else:
+            response = dispatch(self.service, request, self.SCOPES)
         conn.out += self._encode_payload(conn, response)
 
     def _hello(
@@ -428,40 +444,11 @@ class BrokerServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Decide one pipelined allocate and write its response when done."""
-        response = await self._dispatch_safe(request)
+        response = await self._admit(request)
         try:
             await self._send(writer, conn, response)
         except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
             log.debug("pipelined response for %s lost: peer gone", request.id)
-
-    async def _dispatch_safe(self, request: Request) -> Response:
-        try:
-            return await self._dispatch(request)
-        except ProtocolError as exc:
-            return error_response(request.id, exc)
-        except Exception as exc:  # noqa: BLE001 — daemon must not die
-            log.exception("internal error serving %s", request.op)
-            return error_response(
-                request.id,
-                ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
-            )
-
-    async def _dispatch(self, request: Request) -> Response:
-        if request.op == "allocate":
-            return await self._admit(request)
-        if request.op == "renew":
-            return ok_response(request.id, self.service.renew(request.params))
-        if request.op == "release":
-            return ok_response(request.id, self.service.release(request.params))
-        if request.op == "reconfigure":
-            # Served inline: replanning is heavier than renew/release but
-            # the service is synchronous anyway, and reconfigure traffic
-            # is orders of magnitude rarer than allocate.
-            return ok_response(
-                request.id, self.service.reconfigure(request.params)
-            )
-        assert request.op == "status"
-        return ok_response(request.id, self.service.status())
 
     async def _admit(self, request: Request) -> Response:
         """Queue an allocate request, or reject with ``BUSY`` when full."""
@@ -541,19 +528,6 @@ def _parses_as_object(line: bytes) -> bool:
         return isinstance(json.loads(line), dict)
     except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
         return False
-
-
-def _best_effort_id(line: bytes) -> str:
-    """Salvage the request id from an unparseable line (for the reply)."""
-    import json
-
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
-            return str(obj["id"])
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-        pass
-    return ""
 
 
 class BrokerDaemonThread:

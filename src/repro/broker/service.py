@@ -44,6 +44,7 @@ from repro.broker.protocol import (
     ReconfigureParams,
     ReleaseParams,
     RenewParams,
+    StatusParams,
 )
 from repro.elastic.cost import MigrationCostConfig, SnapshotMigrationCost
 from repro.elastic.executor import ReconfigError, TwoPhaseExecutor
@@ -723,7 +724,7 @@ class BrokerService:
     # ------------------------------------------------------------------
     # status
 
-    def status(self) -> dict[str, Any]:
+    def status(self, params: StatusParams | None = None) -> dict[str, Any]:
         """The ``status`` RPC result: leases, metrics, snapshot health."""
         now = self._clock()
         leases = self.leases.active()

@@ -1,11 +1,12 @@
 """Scripted in-memory transport — broker wire faults without sockets.
 
 :class:`ScriptedSocketFactory` plugs into ``BrokerClient(socket_factory=…)``
-and serves each request by calling :func:`dispatch_line` — a synchronous
-mirror of the daemon's parse → dispatch pipeline — against a real
-:class:`~repro.broker.service.BrokerService`.  A *script* of behaviors,
-consumed one per request (plus ``REFUSE`` consumed at connect), injects
-the transport failures that matter for client correctness:
+and serves each request by calling :func:`dispatch_line` — the daemon's
+parse → :func:`~repro.broker.protocol.dispatch` pipeline, synchronously
+— against a real :class:`~repro.broker.service.BrokerService`.  A
+*script* of behaviors, consumed one per request (plus ``REFUSE``
+consumed at connect), injects the transport failures that matter for
+client correctness:
 
 ``DIE_BEFORE_SEND``
     the connection dies before the request reaches the server — the
@@ -22,21 +23,26 @@ Everything is deterministic: no threads, no ports, no timing.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Callable, Iterable
 
 from repro.broker.protocol import (
+    OP_TABLE,
     PROTOCOL_VERSION,
+    TRANSPORT_SCOPE,
     ErrorCode,
     HelloParams,
     ProtocolError,
     Request,
+    Response,
+    best_effort_id,
+    dispatch,
     encode_response,
     error_response,
     ok_response,
     parse_request,
 )
+from repro.broker.server import BrokerServer
 from repro.broker.service import BrokerService
 
 #: per-request behaviors a script may contain
@@ -55,74 +61,43 @@ BEHAVIORS = frozenset(
 def dispatch_line(service: BrokerService, line: bytes) -> bytes:
     """One request line → one response line, synchronously.
 
-    Mirrors ``BrokerServer._handle_line`` + ``_dispatch`` without the
-    admission queue: allocate requests are decided as singleton batches.
-    Internal exceptions become ``INTERNAL`` error responses, exactly as
-    the daemon must never die on a request.
+    Serves what a single-broker daemon serves (``BrokerServer.SCOPES``)
+    through the same :func:`~repro.broker.protocol.dispatch`, without
+    the admission queue: allocate requests are decided as singleton
+    batches.  Internal exceptions become ``INTERNAL`` error responses,
+    exactly as the daemon must never die on a request.
     """
     try:
         request = parse_request(line)
     except ProtocolError as exc:
         service.metrics.protocol_errors += 1
-        return encode_response(error_response(_best_effort_id(line), exc))
+        return encode_response(error_response(best_effort_id(line), exc))
     service.metrics.record_request(request.op)
-    try:
-        return encode_response(_dispatch(service, request))
-    except ProtocolError as exc:
-        return encode_response(error_response(request.id, exc))
-    except Exception as exc:  # noqa: BLE001 — the daemon must not die
-        return encode_response(
-            error_response(
-                request.id,
-                ProtocolError(
-                    ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
-                ),
-            )
-        )
+    if OP_TABLE[request.op].scope == TRANSPORT_SCOPE:
+        return encode_response(_hello(request))
+    return encode_response(dispatch(service, request, BrokerServer.SCOPES))
 
 
-def _dispatch(service: BrokerService, request: Request):
-    if request.op == "hello":
-        # Transport-verb mirror: this in-memory transport speaks exactly
-        # one framing (JSON lines, strict alternation), so it answers
-        # hello honestly but never upgrades.
-        params = request.params
-        assert isinstance(params, HelloParams)
-        if params.codec != "json" or params.pipeline:
-            return error_response(request.id, ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                "chaos transport speaks JSON lines only",
-            ))
-        return ok_response(request.id, {
-            "codec": "json",
-            "pipeline": False,
-            "max_inflight": 1,
-            "codecs": ["json"],
-            "protocol_version": PROTOCOL_VERSION,
-        })
-    if request.op == "allocate":
-        outcome = service.allocate_batch([request.params])[0]
-        if isinstance(outcome, ProtocolError):
-            return error_response(request.id, outcome)
-        return ok_response(request.id, outcome)
-    if request.op == "renew":
-        return ok_response(request.id, service.renew(request.params))
-    if request.op == "release":
-        return ok_response(request.id, service.release(request.params))
-    if request.op == "reconfigure":
-        return ok_response(request.id, service.reconfigure(request.params))
-    assert request.op == "status"
-    return ok_response(request.id, service.status())
+def _hello(request: Request) -> Response:
+    """Answer ``hello`` honestly, without ever upgrading.
 
-
-def _best_effort_id(line: bytes) -> str:
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict) and isinstance(obj.get("id"), (str, int)):
-            return str(obj["id"])
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError both are
-        pass
-    return ""
+    This in-memory transport speaks exactly one framing (JSON lines,
+    strict alternation), so that is all it grants.
+    """
+    params = request.params
+    assert isinstance(params, HelloParams)
+    if params.codec != "json" or params.pipeline:
+        return error_response(request.id, ProtocolError(
+            ErrorCode.BAD_REQUEST,
+            "chaos transport speaks JSON lines only",
+        ))
+    return ok_response(request.id, {
+        "codec": "json",
+        "pipeline": False,
+        "max_inflight": 1,
+        "codecs": ["json"],
+        "protocol_version": PROTOCOL_VERSION,
+    })
 
 
 class ScriptedSocketFactory:

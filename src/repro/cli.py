@@ -13,7 +13,7 @@ every invocation is reproducible):
 * ``client``   — talk to a running broker
   (allocate/renew/release/reconfigure/status);
 * ``lint``     — static invariant checks (determinism, async-safety,
-  typed errors, protocol drift) with a CI-gateable exit code.
+  typed errors, idempotency, async races) with a CI-gateable exit code.
 
 ``allocate`` and ``compare`` accept ``--json`` for machine-readable
 output, so scripted callers don't scrape the human-formatted text.

@@ -5,27 +5,22 @@ whose service is a :class:`~repro.federation.router.FederationRouter`.
 Every transport feature — JSON-lines and binary codecs, pipelining, the
 bounded admission queue, the micro-batcher, the sweeper — is inherited
 unchanged (the router duck-types the service surface those drive); the
-only addition is dispatch for the two router-specific verbs declared in
-``FEDERATION_OPS``:
+only addition is the federation scope of
+:data:`~repro.broker.protocol.OP_TABLE`, whose two router verbs the
+shared dispatch then serves:
 
 * ``shards``  — per-shard aggregates, scores, and liveness;
 * ``resolve`` — which shard owns a lease id.
 
-A single-broker daemon deliberately does *not* grow these branches; the
-PRO006/PRO007 lint rules hold this ladder, the protocol parser, and the
-client in sync.
+A single-broker daemon does not serve that scope, so it answers these
+verbs with ``UNKNOWN_OP``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.broker.protocol import (
-    Request,
-    ResolveParams,
-    Response,
-    ok_response,
-)
+from repro.broker.protocol import FEDERATION_SCOPE
 from repro.broker.server import BrokerServer
 from repro.federation.router import FederationRouter
 
@@ -33,18 +28,10 @@ from repro.federation.router import FederationRouter
 class FederationDaemon(BrokerServer):
     """Asyncio TCP daemon around a :class:`FederationRouter`."""
 
+    SCOPES = BrokerServer.SCOPES | {FEDERATION_SCOPE}
+
     def __init__(self, router: FederationRouter, **kwargs: Any) -> None:
         # The router duck-types the BrokerService surface the transport
         # machinery drives (allocate_batch/renew/release/reconfigure/
         # status/sweep_expired/metrics).
         super().__init__(router, **kwargs)  # type: ignore[arg-type]
-        self.router = router
-
-    async def _dispatch(self, request: Request) -> Response:
-        if request.op == "shards":
-            return ok_response(request.id, self.router.shards())
-        if request.op == "resolve":
-            params = request.params
-            assert isinstance(params, ResolveParams)
-            return ok_response(request.id, self.router.resolve(params))
-        return await super()._dispatch(request)

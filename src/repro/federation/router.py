@@ -51,6 +51,7 @@ from repro.broker.protocol import (
     RenewParams,
     ResolveParams,
     ShardsParams,
+    StatusParams,
 )
 from repro.broker.service import BrokerService
 from repro.core.arrays import PRUNE_KEEP_DEFAULT, PRUNE_THRESHOLD_DEFAULT
@@ -781,7 +782,7 @@ class FederationRouter:
             f"lease {lease_id!r} is not owned by any federation shard",
         )
 
-    def status(self) -> dict[str, Any]:
+    def status(self, params: StatusParams | None = None) -> dict[str, Any]:
         """The ``status`` RPC result, shaped like a single broker's."""
         now = self._clock()
         per_shard: dict[str, Any] = {}

@@ -136,7 +136,7 @@ class TestOutputs:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in (
-            "DET001", "ASY001", "ERR001", "PRO001", "GEN001", "RACE001",
+            "DET001", "ASY001", "ERR001", "PRO008", "GEN001", "RACE001",
         ):
             assert rule in out
 

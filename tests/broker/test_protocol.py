@@ -85,6 +85,13 @@ class TestParseRequest:
              params={"lease_id": "L1", "remaining_s": float("nan")}),
         line(op="reconfigure",
              params={"lease_id": "L1", "remaining_s": float("inf")}),
+        # only a missing or null params means "no params"
+        line(op="status", params=[]),
+        line(op="status", params=0),
+        line(op="status", params=False),
+        line(op="status", params=""),
+        # an empty codec reaches HelloParams' own check
+        line(op="hello", params={"codec": ""}),
     ])
     def test_bad_requests(self, bad):
         with pytest.raises(ProtocolError) as err:

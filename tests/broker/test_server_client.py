@@ -138,6 +138,17 @@ class TestWireLevel:
         listed = obj["error"]["message"].split("choose from ")[1]
         assert listed == str(OPS + FEDERATION_OPS + TRANSPORT_OPS)
 
+    # a single broker does not serve the federation scope
+    @pytest.mark.parametrize("op", FEDERATION_OPS)
+    def test_router_verbs_need_a_federation_daemon(self, daemon, op):
+        line = json.dumps({
+            "v": 1, "id": "r", "op": op, "params": {"lease_id": "L00000001"},
+        }) + "\n"
+        obj = self._talk(daemon, line.encode())
+        assert obj["id"] == "r" and obj["ok"] is False
+        assert obj["error"]["code"] == "UNKNOWN_OP"
+        assert "federation daemon" in obj["error"]["message"]
+
 
 class TestBackpressure:
     def test_busy_when_admission_queue_full(self, scenario):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ class TestDispatchLine:
         )
         raw = dispatch_line(service, line)
         assert b"INTERNAL" in raw  # never a raised exception
+
+    # it mirrors a single broker, which does not serve the federation scope
+    @pytest.mark.parametrize("op", ["shards", "resolve"])
+    def test_router_verbs_are_unknown_ops(self, service, op):
+        line = json.dumps({
+            "v": 1, "id": "t3", "op": op, "params": {"lease_id": "L00000001"},
+        }).encode() + b"\n"
+        obj = json.loads(dispatch_line(service, line))
+        assert obj["id"] == "t3" and obj["ok"] is False
+        assert obj["error"]["code"] == "UNKNOWN_OP"
+        assert "federation daemon" in obj["error"]["message"]
 
 
 class TestScriptedBehaviors:

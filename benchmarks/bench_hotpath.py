@@ -14,14 +14,13 @@ the repo root, also via ``make bench-json``):
 * **batch solver vs sequential** — summed raw Equation-4 cost of
   ``allocate_batch`` deciding N queued jobs together must be no worse
   than deciding the same jobs one at a time;
-* **pipelined/binary transport** — loopback round-trips/sec of the
-  negotiated transport (pipelined bursts, JSON and binary codecs)
-  against this run's stop-and-wait baseline and against the committed
-  ``BENCH_broker.json`` JSON-lines number.
+* **pipelined transport** — loopback round-trips/sec of pipelined
+  JSON-lines bursts against this run's stop-and-wait baseline and
+  against the committed ``BENCH_broker.json`` JSON-lines number.
 
 CI floors (see ``assert``s): at 5k nodes the incremental refresh must
 be ≥5× faster than the full rebuild and a warm decision ≤10 ms; the
-batch solver must never cost more than sequential; pipelined binary
+batch solver must never cost more than sequential; pipelined JSON lines
 must sustain ≥3× the committed JSON-lines RT/s.  The absolute 20k RT/s
 loopback target additionally applies on full-scale runs with real
 parallelism (≥8 cores) — a single shared core caps the client+server
@@ -61,7 +60,7 @@ OUT = ROOT / "BENCH_hotpath.json"
 #: floors gated in CI (the 5k-node floors apply whenever that tier runs)
 MIN_INCREMENTAL_SPEEDUP_5K = 5.0
 MAX_WARM_DECISION_MS_5K = 10.0
-MIN_BINARY_VS_BASELINE = 3.0
+MIN_PIPELINED_VS_BASELINE = 3.0
 #: absolute loopback target; needs client and server on separate cores
 FULL_HW_TARGET_RTS = 20_000.0
 
@@ -75,7 +74,7 @@ def _write_record() -> None:
     RECORD["floors"] = {
         "incremental_speedup_5k_min": MIN_INCREMENTAL_SPEEDUP_5K,
         "warm_decision_ms_5k_max": MAX_WARM_DECISION_MS_5K,
-        "pipelined_binary_vs_jsonlines_min": MIN_BINARY_VS_BASELINE,
+        "pipelined_vs_jsonlines_min": MIN_PIPELINED_VS_BASELINE,
         "full_hw_target_rts": FULL_HW_TARGET_RTS,
     }
     OUT.write_text(json.dumps(RECORD, indent=2) + "\n")
@@ -357,14 +356,11 @@ def test_pipelined_transport_throughput(benchmark):
                 for _ in range(seq_n):
                     client.status()
                 rates["sequential_json"] = seq_n / (time.perf_counter() - t0)
-            for codec in ("json", "binary"):
-                with BrokerClient(port=daemon.port, timeout_s=30.0) as client:
-                    client.hello(codec=codec, pipeline=True, max_inflight=BURST)
-                    for _ in range(3):
-                        client.call_many("status", [None] * BURST)
-                    rates[f"pipelined_{codec}"] = _burst_rts(
-                        client, bursts, reps
-                    )
+            with BrokerClient(port=daemon.port, timeout_s=30.0) as client:
+                client.hello(pipeline=True, max_inflight=BURST)
+                for _ in range(3):
+                    client.call_many("status", [None] * BURST)
+                rates["pipelined_json"] = _burst_rts(client, bursts, reps)
 
     run_once(benchmark, hammer)
     # the committed JSON-lines number is the cross-run baseline the
@@ -376,30 +372,28 @@ def test_pipelined_transport_throughput(benchmark):
     if broker_json.exists():
         baseline = float(json.loads(broker_json.read_text())["throughput_rts"])
         baseline_src = "BENCH_broker.json"
-    ratio = rates["pipelined_binary"] / baseline
+    ratio = rates["pipelined_json"] / baseline
     RECORD["transport"] = {
         "op": "status",
         "burst": BURST,
         "sequential_json_rts": rates["sequential_json"],
         "pipelined_json_rts": rates["pipelined_json"],
-        "pipelined_binary_rts": rates["pipelined_binary"],
         "jsonlines_baseline_rts": baseline,
         "jsonlines_baseline_source": baseline_src,
-        "pipelined_binary_vs_baseline": ratio,
+        "pipelined_vs_baseline": ratio,
         "cpu_count": os.cpu_count(),
     }
     _write_record()
     print(f"\ntransport: sequential {rates['sequential_json']:.0f} RT/s, "
-          f"pipelined json {rates['pipelined_json']:.0f}, "
-          f"pipelined binary {rates['pipelined_binary']:.0f} "
+          f"pipelined json {rates['pipelined_json']:.0f} "
           f"({ratio:.1f}x {baseline_src}) -> {OUT.name}")
-    assert ratio >= MIN_BINARY_VS_BASELINE, (
-        f"pipelined binary sustained {rates['pipelined_binary']:.0f} RT/s — "
+    assert ratio >= MIN_PIPELINED_VS_BASELINE, (
+        f"pipelined JSON lines sustained {rates['pipelined_json']:.0f} RT/s — "
         f"only {ratio:.1f}x the JSON-lines baseline {baseline:.0f} "
-        f"(floor {MIN_BINARY_VS_BASELINE}x)"
+        f"(floor {MIN_PIPELINED_VS_BASELINE}x)"
     )
     if scale() == "full" and (os.cpu_count() or 1) >= 8:
-        assert rates["pipelined_binary"] >= FULL_HW_TARGET_RTS, (
-            f"pipelined binary {rates['pipelined_binary']:.0f} RT/s below "
+        assert rates["pipelined_json"] >= FULL_HW_TARGET_RTS, (
+            f"pipelined JSON lines {rates['pipelined_json']:.0f} RT/s below "
             f"the {FULL_HW_TARGET_RTS:.0f} RT/s full-hardware target"
         )

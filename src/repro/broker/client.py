@@ -32,15 +32,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.broker.protocol import (
-    FRAME_HEADER,
-    OP_TABLE,
-    PROTOCOL_VERSION,
-    encode_frame,
-    encode_request,
-    load_payload,
-    request_obj,
-)
+from repro.broker.protocol import OP_TABLE, PROTOCOL_VERSION, encode_request
 
 #: every error code this client understands: the full server-side
 #: :class:`~repro.broker.protocol.ErrorCode` enum plus the two codes the
@@ -192,20 +184,18 @@ class BrokerClient:
         self._rfile = None
         self._ids = itertools.count(1)
         # live transport state (re-negotiated on every reconnect)
-        self._codec = "json"
         self._pipeline = False
         self._max_inflight = 1
-        # desired negotiation, replayed by connect() after a reconnect
+        # last granted negotiation, replayed by connect() after a reconnect
         self._negotiate: dict[str, Any] | None = None
-        self._last_hello: dict[str, Any] = {}
 
     # -- connection -----------------------------------------------------
     def connect(self) -> "BrokerClient":
         """Establish the connection, retrying while the daemon boots.
 
-        If :meth:`hello` negotiated transport options earlier, they are
+        If :meth:`hello` negotiated pipelining earlier, it is
         re-negotiated automatically — a transparent reconnect lands in
-        the same codec/pipelining mode the caller chose.
+        the same mode the server granted before.
         """
         if self._sock is not None:
             return self
@@ -250,8 +240,7 @@ class BrokerClient:
             except OSError:
                 pass
             self._sock = None
-        # a fresh connection always starts in JSON-lines mode
-        self._codec = "json"
+        # a fresh connection always starts in strict alternation
         self._pipeline = False
         self._max_inflight = 1
 
@@ -307,7 +296,7 @@ class BrokerClient:
         assert self._sock is not None and self._rfile is not None
         req_id = f"c{next(self._ids)}"
         try:
-            self._sock.sendall(self._encode(req_id, op, params))
+            self._sock.sendall(encode_request(req_id, op, params))
             obj = self._read_response_obj()
         except socket.timeout:
             self.close()
@@ -322,47 +311,18 @@ class BrokerClient:
             raise outcome
         return outcome
 
-    def _encode(
-        self, req_id: str, op: str, params: dict[str, Any] | None
-    ) -> bytes:
-        if self._codec == "json":
-            return encode_request(req_id, op, params)
-        return encode_frame(request_obj(req_id, op, params), self._codec)
-
-    def _read_exact(self, n: int) -> bytes:
+    def _read_response_obj(self) -> dict:
+        """Read and decode one response line."""
         assert self._rfile is not None
-        data = self._rfile.read(n)
-        if data is None or len(data) < n:
+        raw = self._rfile.readline()
+        if not raw:
             self.close()
             raise BrokerError("CONNECT", "server closed the connection")
-        return data
-
-    def _read_response_obj(self) -> dict:
-        """Read and decode one response in the connection's codec."""
-        assert self._rfile is not None
-        if self._codec == "json":
-            raw = self._rfile.readline()
-            if not raw:
-                self.close()
-                raise BrokerError("CONNECT", "server closed the connection")
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                self.close()
-                raise BrokerError(
-                    "INTERNAL", f"unparseable response: {exc}"
-                ) from None
-        else:
-            header = self._read_exact(FRAME_HEADER.size)
-            (length,) = FRAME_HEADER.unpack(header)
-            payload = self._read_exact(length)
-            try:
-                obj = load_payload(payload, self._codec)
-            except Exception as exc:  # noqa: BLE001 — any decode fault
-                self.close()
-                raise BrokerError(
-                    "INTERNAL", f"unparseable response: {exc}"
-                ) from None
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            self.close()
+            raise BrokerError("INTERNAL", f"unparseable response: {exc}") from None
         if not isinstance(obj, dict):
             self.close()
             raise BrokerError("INTERNAL", "response is not an object")
@@ -387,36 +347,25 @@ class BrokerClient:
         return result if isinstance(result, dict) else {}
 
     # -- transport negotiation ------------------------------------------
-    def hello(
-        self,
-        *,
-        codec: str = "json",
-        pipeline: bool = False,
-        max_inflight: int = 32,
-    ) -> dict:
-        """Negotiate the connection's codec and pipelining window.
+    def hello(self, *, pipeline: bool = False, max_inflight: int = 32) -> dict:
+        """Negotiate the connection's pipelining window.
 
-        The choice is remembered: a transparent reconnect after a
-        transport death re-negotiates the same options before the next
-        request is sent.  Returns the server's hello result (granted
-        codec, window, and its full codec list).
+        A granted choice is remembered: a transparent reconnect after a
+        transport death re-negotiates it before the next request is
+        sent.  A refused hello leaves both the live connection and the
+        remembered negotiation as they were.  Returns the server's hello
+        result (granted window, its codec list, protocol version).
         """
-        self._negotiate = {
-            "codec": codec,
-            "pipeline": pipeline,
-            "max_inflight": max_inflight,
-        }
-        if self._sock is None:
-            self.connect()  # connect() replays the negotiation
-            return dict(self._last_hello)
-        return self._hello_exchange(self._negotiate)
+        want = {"pipeline": pipeline, "max_inflight": max_inflight}
+        self.connect()
+        result = self._hello_exchange(want)
+        self._negotiate = want
+        return result
 
     def _hello_exchange(self, want: dict[str, Any]) -> dict:
         result = self._exchange("hello", dict(want))
-        self._codec = str(result.get("codec", "json"))
         self._pipeline = bool(result.get("pipeline", False))
         self._max_inflight = int(result.get("max_inflight", 1))
-        self._last_hello = result
         return result
 
     # -- pipelined bursts -----------------------------------------------
@@ -437,12 +386,12 @@ class BrokerClient:
         """
         if not params_list:
             return []
+        self.connect()  # a reconnect replays the granted pipelining
         if not self._pipeline:
             raise BrokerError(
                 "BAD_REQUEST",
                 "call_many requires hello(pipeline=True) first",
             )
-        self.connect()
         assert self._sock is not None
         results: list[dict | BrokerError | None] = [None] * len(params_list)
         window = max(1, self._max_inflight)
@@ -450,13 +399,13 @@ class BrokerClient:
         try:
             while pos < len(params_list):
                 chunk = params_list[pos : pos + window]
-                frames: list[bytes] = []
+                lines: list[bytes] = []
                 id_to_index: dict[str, int] = {}
                 for offset, params in enumerate(chunk):
                     req_id = f"c{next(self._ids)}"
                     id_to_index[req_id] = pos + offset
-                    frames.append(self._encode(req_id, op, params))
-                self._sock.sendall(b"".join(frames))
+                    lines.append(encode_request(req_id, op, params))
+                self._sock.sendall(b"".join(lines))
                 while id_to_index:
                     obj = self._read_response_obj()
                     index = id_to_index.pop(str(obj.get("id")), None)

@@ -24,10 +24,8 @@ the chaos transport and the client library (:mod:`repro.broker.client`)
 share this module, so a verb, version or schema change happens in
 exactly one place.
 
-Transport negotiation (still protocol v1, fully backward compatible): a
-connection starts in JSON-lines mode; a ``hello`` request may switch it
-to the length-prefixed ``binary`` codec (4-byte big-endian length +
-compact JSON payload — no newline scanning, cheap framing) and/or enable
+Transport negotiation (still protocol v1, fully backward compatible):
+every connection speaks JSON lines; a ``hello`` request may enable
 *pipelining* (many requests in flight per connection, responses matched
 by ``id`` and possibly out of order).  ``hello`` is a transport verb
 (:data:`TRANSPORT_OPS`): the daemon answers it itself and it never
@@ -42,14 +40,8 @@ import enum
 import json
 import logging
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Collection, Mapping
-
-try:  # optional accelerator; the wire format gates on importability
-    import msgpack as _msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover — exercised only without msgpack
-    _msgpack = None
 
 log = logging.getLogger(__name__)
 
@@ -116,17 +108,8 @@ BROKER_SCOPE = "broker"
 FEDERATION_SCOPE = "federation"
 TRANSPORT_SCOPE = "transport"
 
-#: Codecs a connection may negotiate via ``hello``.  ``json`` is the
-#: JSON-lines default; ``binary`` is length-prefixed compact JSON;
-#: ``msgpack`` is length-prefixed MessagePack, offered only when the
-#: library is importable (it is optional and never required).
-CODECS = ("json", "binary") + (() if _msgpack is None else ("msgpack",))
-
-#: Framed codecs prefix every payload with this 4-byte big-endian length.
-FRAME_HEADER = struct.Struct(">I")
-
-#: Hard cap on one framed payload — same budget as a JSON line.
-MAX_FRAME_BYTES = MAX_LINE_BYTES
+#: Codecs a ``hello`` may ask for: JSON lines is the only wire format.
+CODECS = ("json",)
 
 #: Upper bound a server will grant for pipelined in-flight requests.
 MAX_INFLIGHT_LIMIT = 1024
@@ -349,12 +332,10 @@ class ResolveParams:
 class HelloParams:
     """Parameters of a ``hello`` transport-negotiation request.
 
-    ``codec`` picks the framing for *subsequent* traffic on the
-    connection (the hello exchange itself always runs in the codec the
-    connection is currently speaking).  ``pipeline`` opts into
-    out-of-order responses with up to ``max_inflight`` requests in
-    flight; without it the server keeps the historical strict
-    request/response alternation.
+    ``pipeline`` opts into out-of-order responses with up to
+    ``max_inflight`` requests in flight; without it the server keeps the
+    historical strict request/response alternation.  ``codec`` is still
+    parsed because it is client input: only ``"json"`` is granted.
     """
 
     codec: str = "json"
@@ -510,7 +491,7 @@ def parse_request(line: str | bytes) -> Request:
 
 
 def parse_request_obj(obj: Any) -> Request:
-    """Validate an already-decoded request object (any codec)."""
+    """Validate an already-decoded request object."""
     if not isinstance(obj, dict):
         raise ProtocolError(
             ErrorCode.BAD_REQUEST, "request must be a JSON object"
@@ -543,21 +524,13 @@ def parse_request_obj(obj: Any) -> Request:
 # ----------------------------------------------------------------------
 # encoding
 
-def request_obj(
-    req_id: str, op: str, params: Mapping[str, Any] | None = None
-) -> dict[str, Any]:
-    """The request object all codecs serialize (``None`` params dropped)."""
-    obj: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": req_id, "op": op}
-    if params:
-        obj["params"] = {k: v for k, v in params.items() if v is not None}
-    return obj
-
-
 def encode_request(
     req_id: str, op: str, params: Mapping[str, Any] | None = None
 ) -> bytes:
-    """One request wire line (used by the client library)."""
-    obj = request_obj(req_id, op, params)
+    """One request wire line (``None`` params dropped; used by the client)."""
+    obj: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": req_id, "op": op}
+    if params:
+        obj["params"] = {k: v for k, v in params.items() if v is not None}
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
 
@@ -571,8 +544,8 @@ def error_response(req_id: str, error: ProtocolError) -> Response:
     return Response(id=req_id, ok=False, error=error)
 
 
-def response_obj(response: Response) -> dict[str, Any]:
-    """The response object all codecs serialize."""
+def encode_response(response: Response) -> bytes:
+    """One response wire line."""
     obj: dict[str, Any] = {
         "v": response.v,
         "id": response.id,
@@ -586,12 +559,7 @@ def response_obj(response: Response) -> dict[str, Any]:
             "code": response.error.code.value,
             "message": response.error.message,
         }
-    return obj
-
-
-def encode_response(response: Response) -> bytes:
-    """One response wire line."""
-    return (json.dumps(response_obj(response), separators=(",", ":")) + "\n").encode()
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
 
 def best_effort_id(line: bytes) -> str:
@@ -646,48 +614,3 @@ def dispatch(
             ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
         )
 
-
-# ----------------------------------------------------------------------
-# framed codecs ("binary" / "msgpack")
-
-def dump_payload(obj: Mapping[str, Any], codec: str) -> bytes:
-    """Serialize one request/response object for a framed codec."""
-    if codec == "msgpack":
-        if _msgpack is None:  # pragma: no cover — guarded by CODECS
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST, "msgpack codec is not available"
-            )
-        return _msgpack.packb(obj, use_bin_type=True)
-    return json.dumps(obj, separators=(",", ":")).encode()
-
-
-def load_payload(data: bytes, codec: str) -> Any:
-    """Deserialize one framed payload; raises ``BAD_REQUEST`` on garbage."""
-    try:
-        if codec == "msgpack":
-            if _msgpack is None:  # pragma: no cover — guarded by CODECS
-                raise ProtocolError(
-                    ErrorCode.BAD_REQUEST, "msgpack codec is not available"
-                )
-            obj = _msgpack.unpackb(data, raw=False)
-            # msgpack map keys arrive as decoded already; pair keys are
-            # not used on the wire, so nothing further to normalize
-            return obj
-        return json.loads(data)
-    except ProtocolError:
-        raise
-    except Exception as exc:  # noqa: BLE001 — decoder faults differ per codec library; all of them must become a typed BAD_REQUEST, never kill the connection handler
-        raise ProtocolError(
-            ErrorCode.BAD_REQUEST, f"undecodable {codec} payload: {exc}"
-        ) from None
-
-
-def encode_frame(obj: Mapping[str, Any], codec: str) -> bytes:
-    """One framed message: 4-byte big-endian length + payload."""
-    payload = dump_payload(obj, codec)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            ErrorCode.BAD_REQUEST,
-            f"frame exceeds {MAX_FRAME_BYTES} bytes",
-        )
-    return FRAME_HEADER.pack(len(payload)) + payload

@@ -4,9 +4,7 @@ Transport architecture:
 
 * one :func:`asyncio.start_server` connection handler per client,
   reading newline-delimited requests and writing one response line per
-  request, in order.  A ``hello`` request may upgrade the connection:
-  to the length-prefixed ``binary``/``msgpack`` codec (the hello
-  response itself still travels in the old codec), and/or to
+  request, in order.  A ``hello`` request may switch the connection to
   **pipelined** mode, where up to ``max_inflight`` allocate requests
   ride the admission queue concurrently and responses are written as
   they complete — possibly out of order, matched by request ``id``.
@@ -41,8 +39,6 @@ from typing import Any
 from repro.broker.protocol import (
     BROKER_SCOPE,
     CODECS,
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
     OP_TABLE,
     PROTOCOL_VERSION,
@@ -55,14 +51,10 @@ from repro.broker.protocol import (
     Response,
     best_effort_id,
     dispatch,
-    encode_frame,
     encode_response,
     error_response,
-    load_payload,
     ok_response,
     parse_request,
-    parse_request_obj,
-    response_obj,
 )
 from repro.broker.service import BrokerService
 
@@ -85,10 +77,9 @@ class _TransportViolation(Exception):
 class _ConnState:
     """Per-connection transport options negotiated via ``hello``."""
 
-    __slots__ = ("codec", "pipeline", "max_inflight", "write_lock", "out")
+    __slots__ = ("pipeline", "max_inflight", "write_lock", "out")
 
     def __init__(self) -> None:
-        self.codec = "json"
         self.pipeline = False
         self.max_inflight = 1
         self.write_lock = asyncio.Lock()
@@ -238,9 +229,9 @@ class BrokerServer:
         try:
             while True:
                 try:
-                    raw = await self._read_message(reader, conn)
+                    raw = await self._read_line(reader)
                 except _TransportViolation as exc:
-                    # Oversized line/frame: the stream cannot be resynced
+                    # Oversized line: the stream cannot be resynced
                     # mid-message, so answer once, count it, and drop the
                     # connection.
                     metrics = self.service.metrics
@@ -251,7 +242,7 @@ class BrokerServer:
                     except (ConnectionResetError, BrokenPipeError):
                         pass
                     break
-                except (ConnectionResetError, asyncio.IncompleteReadError):
+                except ConnectionResetError:
                     break
                 if raw is None:
                     break
@@ -271,58 +262,33 @@ class BrokerServer:
                 pass
             log.debug("connection from %s closed", peer)
 
-    async def _read_message(
-        self, reader: asyncio.StreamReader, conn: _ConnState
-    ) -> bytes | None:
-        """One raw message in the connection's codec; ``None`` on EOF."""
-        if conn.codec == "json":
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # A line even the raised stream limit couldn't hold.
-                    raise _TransportViolation(ProtocolError(
-                        ErrorCode.BAD_REQUEST,
-                        f"request exceeds {MAX_LINE_BYTES} bytes",
-                    )) from None
-                if not line:
-                    return None
-                if line.strip() == b"":
-                    continue
-                return line
-        try:
-            header = await reader.readexactly(FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean close between frames
-            raise ConnectionResetError from None
-        (length,) = FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise _TransportViolation(ProtocolError(
-                ErrorCode.BAD_REQUEST,
-                f"frame exceeds {MAX_FRAME_BYTES} bytes",
-            ))
-        try:
-            return await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ConnectionResetError from None
-
     @staticmethod
-    def _encode_payload(conn: _ConnState, response: Response) -> bytes:
-        """One response serialized in the connection's current codec."""
-        if conn.codec == "json":
-            return encode_response(response)
-        return encode_frame(response_obj(response), conn.codec)
+    async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+        """The next non-blank request line; ``None`` on EOF."""
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # A line even the raised stream limit couldn't hold.
+                raise _TransportViolation(ProtocolError(
+                    ErrorCode.BAD_REQUEST,
+                    f"request exceeds {MAX_LINE_BYTES} bytes",
+                )) from None
+            if not line:
+                return None
+            if line.strip() == b"":
+                continue
+            return line
 
     async def _send(
         self, writer: asyncio.StreamWriter, conn: _ConnState, response: Response
     ) -> None:
-        """Serialize and write one response in the connection's codec.
+        """Encode and write one response line.
 
         The lock serializes writers: in pipelined mode the reader loop
         and any number of completion tasks share one socket.
         """
-        data = self._encode_payload(conn, response)
+        data = encode_response(response)
         async with conn.write_lock:
             writer.write(data)
             await writer.drain()
@@ -362,34 +328,29 @@ class BrokerServer:
         pending: set[asyncio.Task],
     ) -> None:
         try:
-            if conn.codec == "json":
-                request = parse_request(raw)
-            else:
-                request = parse_request_obj(load_payload(raw, conn.codec))
+            request = parse_request(raw)
         except ProtocolError as exc:
             metrics = self.service.metrics
             metrics.protocol_errors += 1
             if len(raw) > MAX_LINE_BYTES:
                 metrics.oversized_requests += 1
-            elif conn.codec == "json" and not _parses_as_object(raw):
+            elif not _parses_as_object(raw):
                 metrics.malformed_lines += 1
-            req_id = best_effort_id(raw) if conn.codec == "json" else ""
-            conn.out += self._encode_payload(conn, error_response(req_id, exc))
+            conn.out += encode_response(error_response(best_effort_id(raw), exc))
             return
         self.service.metrics.record_request(request.op)
         spec = OP_TABLE[request.op]
         if spec.scope == TRANSPORT_SCOPE:
-            # Answered in the *current* codec; the upgrade applies to
-            # every message after the response.
+            # The granted mode applies to every request after this one.
             response, upgrade = self._hello(request)
-            conn.out += self._encode_payload(conn, response)
+            conn.out += encode_response(response)
             if upgrade is not None:
-                conn.codec, conn.pipeline, conn.max_inflight = upgrade
+                conn.pipeline, conn.max_inflight = upgrade
             return
         if conn.pipeline and spec.admitted:
             if len(pending) >= conn.max_inflight:
                 self.service.metrics.busy_rejected += 1
-                conn.out += self._encode_payload(conn, error_response(
+                conn.out += encode_response(error_response(
                     request.id,
                     ProtocolError(
                         ErrorCode.BUSY,
@@ -408,12 +369,12 @@ class BrokerServer:
             response = await self._admit(request)
         else:
             response = dispatch(self.service, request, self.SCOPES)
-        conn.out += self._encode_payload(conn, response)
+        conn.out += encode_response(response)
 
     def _hello(
         self, request: Request
-    ) -> tuple[Response, tuple[str, bool, int] | None]:
-        """Negotiate transport options; returns (response, upgrade)."""
+    ) -> tuple[Response, tuple[bool, int] | None]:
+        """Negotiate pipelining; returns (response, upgrade)."""
         params = request.params
         assert isinstance(params, HelloParams)
         if params.codec not in CODECS:
@@ -422,20 +383,15 @@ class BrokerServer:
                 f"unsupported codec {params.codec!r}; "
                 f"server offers {list(CODECS)}",
             )), None
-        granted_inflight = min(params.max_inflight, self.max_queue)
+        window = min(params.max_inflight, self.max_queue) if params.pipeline else 1
         result = {
             "codec": params.codec,
             "pipeline": params.pipeline,
-            "max_inflight": granted_inflight if params.pipeline else 1,
+            "max_inflight": window,
             "codecs": list(CODECS),
             "protocol_version": PROTOCOL_VERSION,
         }
-        upgrade = (
-            params.codec,
-            params.pipeline,
-            granted_inflight if params.pipeline else 1,
-        )
-        return ok_response(request.id, result), upgrade
+        return ok_response(request.id, result), (params.pipeline, window)
 
     async def _serve_pipelined(
         self,

@@ -9,7 +9,7 @@ each sweep is the fleet-scale hot-path tax PR 6 removes.
 This module provides the three pieces of the incremental path:
 
 * :class:`SnapshotDelta` — the set of node views and link measurements
-  that moved beyond a threshold between two snapshots.
+  that moved between two snapshots.
 * :func:`compute_delta` — diff two snapshots into a delta, or report a
   *structural* change (nodes/pairs/livehosts appeared or vanished,
   static specs changed) that requires a full rebuild.
@@ -53,7 +53,7 @@ _SERIALS = itertools.count(1)
 
 @dataclass(frozen=True)
 class SnapshotDelta:
-    """Nodes and links that moved beyond threshold between two sweeps."""
+    """Nodes and links that moved between two sweeps."""
 
     #: timestamp of the newer snapshot the delta was computed against
     time: float
@@ -91,9 +91,9 @@ class SnapshotDelta:
         return frozenset(touched)
 
 
-def _moved(old: float, new: float, threshold: float) -> bool:
-    """Relative-change test: |new − old| > threshold · max(1, |old|)."""
-    return abs(new - old) > threshold * max(1.0, abs(old))
+def _moved(old: float, new: float) -> bool:
+    """Whether a value changed; a NaN on either side never counts."""
+    return abs(new - old) > 0.0
 
 
 #: dynamic NodeView attribute maps compared by :func:`_node_changed`
@@ -105,7 +105,7 @@ _DYNAMIC_ATTRS = (
 )
 
 
-def _node_changed(old: NodeView, new: NodeView, threshold: float) -> bool:
+def _node_changed(old: NodeView, new: NodeView) -> bool:
     if old.users != new.users:
         return True
     for attr in _DYNAMIC_ATTRS:
@@ -113,7 +113,7 @@ def _node_changed(old: NodeView, new: NodeView, threshold: float) -> bool:
         if set(a) != set(b):
             return True
         for key, value in a.items():
-            if _moved(float(value), float(b[key]), threshold):
+            if _moved(float(value), float(b[key])):
                 return True
     return False
 
@@ -127,24 +127,15 @@ def _static_changed(old: NodeView, new: NodeView) -> bool:
     )
 
 
-def compute_delta(
-    old: ClusterSnapshot,
-    new: ClusterSnapshot,
-    *,
-    node_threshold: float = 0.0,
-    link_threshold: float = 0.0,
-) -> SnapshotDelta | None:
+def compute_delta(old: ClusterSnapshot, new: ClusterSnapshot) -> SnapshotDelta | None:
     """Diff two snapshots into a :class:`SnapshotDelta`.
 
     Returns ``None`` when the change is *structural* — nodes or measured
     pairs appeared/disappeared, livehosts changed, or a static spec
     moved — in which case the caller must fall back to a full rebuild
     (incremental patching assumes fixed topology and index order).
-
-    Thresholds are relative (``|Δ| > t·max(1, |old|)``); ``0.0`` means
-    any change at all is emitted.  Sub-threshold drift is deliberately
-    *dropped*: the served view stays within the threshold band of the
-    truth, which is the monitor's freshness contract at fleet scale.
+    Otherwise every node view and link measurement that changed at all
+    is in the delta.
     """
     if set(old.nodes) != set(new.nodes):
         return None
@@ -164,17 +155,17 @@ def compute_delta(
         fresh = new.nodes[name]
         if _static_changed(view, fresh):
             return None
-        if _node_changed(view, fresh, node_threshold):
+        if _node_changed(view, fresh):
             nodes[name] = fresh
     bandwidth = {
         k: new.bandwidth_mbs[k]
         for k, v in old.bandwidth_mbs.items()
-        if _moved(float(v), float(new.bandwidth_mbs[k]), link_threshold)
+        if _moved(float(v), float(new.bandwidth_mbs[k]))
     }
     latency = {
         k: new.latency_us[k]
         for k, v in old.latency_us.items()
-        if _moved(float(v), float(new.latency_us[k]), link_threshold)
+        if _moved(float(v), float(new.latency_us[k]))
     }
     return SnapshotDelta(
         time=new.time,

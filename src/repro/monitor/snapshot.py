@@ -353,7 +353,7 @@ class CachedSnapshotSource:
 
     ``incremental`` turns on the delta path: each refresh diffs the
     freshly built snapshot against the one currently being served
-    (:func:`repro.monitor.delta.compute_delta` with the two thresholds)
+    (:func:`repro.monitor.delta.compute_delta`)
     and serves a *patched* snapshot that carries the previous snapshot's
     array store, patched once in O(changed), and a ``(serial,
     generation)`` lineage — so neither the allocator's raw Equation-1/2
@@ -373,8 +373,6 @@ class CachedSnapshotSource:
         refresh_hook=None,
         lkg_max_age_s: float | None = None,
         incremental: bool = False,
-        node_threshold: float = 0.0,
-        link_threshold: float = 0.0,
     ) -> None:
         if max_age_s < 0:
             raise ValueError(f"max_age_s must be non-negative: {max_age_s}")
@@ -382,11 +380,6 @@ class CachedSnapshotSource:
             raise ValueError(
                 f"lkg_max_age_s ({lkg_max_age_s}) must be >= max_age_s "
                 f"({max_age_s})"
-            )
-        if node_threshold < 0 or link_threshold < 0:
-            raise ValueError(
-                "delta thresholds must be non-negative: "
-                f"node={node_threshold}, link={link_threshold}"
             )
         import time as _time
 
@@ -396,8 +389,6 @@ class CachedSnapshotSource:
         self.lkg_max_age_s = lkg_max_age_s
         self._refresh_hook = refresh_hook
         self.incremental = incremental
-        self.node_threshold = node_threshold
-        self.link_threshold = link_threshold
         self._snapshot: ClusterSnapshot | None = None
         self._built_at: float = float("-inf")
         #: observability counters (surfaced by the broker's status RPC)
@@ -406,7 +397,7 @@ class CachedSnapshotSource:
         #: times a failed rebuild was papered over with the cached snapshot
         self.fallbacks = 0
         #: incremental-mode counters: patches served, refreshes where
-        #: nothing moved beyond threshold, and structural full rebuilds
+        #: nothing moved, and structural full rebuilds
         self.deltas_applied = 0
         self.deltas_empty = 0
         self.delta_full_rebuilds = 0
@@ -441,18 +432,13 @@ class CachedSnapshotSource:
             # Local import: the delta module imports this one.
             from repro.monitor.delta import apply_snapshot_delta, compute_delta
 
-            delta = compute_delta(
-                prev,
-                fresh,
-                node_threshold=self.node_threshold,
-                link_threshold=self.link_threshold,
-            )
+            delta = compute_delta(prev, fresh)
             if delta is None:
                 self.delta_full_rebuilds += 1
             elif delta.is_empty:
-                # Nothing moved beyond threshold: the served snapshot is
-                # as good as the rebuild; keep its object identity (and
-                # every derived structure) alive.
+                # Nothing moved: the served snapshot is as good as the
+                # rebuild; keep its object identity (and every derived
+                # structure) alive.
                 self.deltas_empty += 1
                 fresh = prev
             else:

@@ -1,10 +1,11 @@
-"""Transport v2: codec negotiation, framed codecs, and pipelining.
+"""Transport v2: ``hello`` negotiation and pipelining over JSON lines.
 
 The ``hello`` verb is a *transport* op — answered by the connection
-layer in whatever codec the connection currently speaks, with the
-upgrade applying only to messages after the response.  These tests run
-the real daemon over loopback TCP: negotiation shapes, binary-codec
-round-trips, pipelined bursts (including out-of-order completion and
+layer itself, with the granted mode applying only to requests after the
+response.  JSON lines is the only wire format: a ``hello`` asking for
+any other codec is refused and the connection keeps serving.  These
+tests run the real daemon over loopback TCP: negotiation shapes,
+refused codecs, pipelined bursts (including out-of-order completion and
 window-overflow BUSY), transparent re-negotiation after reconnect, and
 the chaos transport's honest JSON-only hello mirror.
 """
@@ -21,7 +22,7 @@ from repro.broker import (
     BrokerServer,
     BrokerService,
 )
-from repro.broker.protocol import CODECS, PROTOCOL_VERSION
+from repro.broker.protocol import PROTOCOL_VERSION
 from repro.chaos.transport import ScriptedSocketFactory
 from repro.monitor.snapshot import CachedSnapshotSource
 
@@ -48,44 +49,27 @@ class TestHelloNegotiation:
         assert result["pipeline"] is False
         assert result["max_inflight"] == 1
         assert result["protocol_version"] == PROTOCOL_VERSION
-        assert "json" in result["codecs"] and "binary" in result["codecs"]
+        assert result["codecs"] == ["json"]
 
-    def test_binary_codec_round_trip(self, client):
-        result = client.hello(codec="binary")
-        assert result["codec"] == "binary"
-        grant = client.allocate(8, ppn=4, ttl_s=20.0)
-        assert sum(grant.procs.values()) == 8
-        renewed = client.renew(grant.lease_id, ttl_s=40.0)
-        assert renewed["ttl_s"] == 40.0
-        released = client.release(grant.lease_id)
-        assert released["released"] is True
-        assert client.status()["protocol_version"] == PROTOCOL_VERSION
-
-    def test_unsupported_codec_rejected_connection_survives(self, client):
+    @pytest.mark.parametrize("codec", ["binary", "msgpack", "zstd"])
+    def test_unsupported_codec_rejected_connection_survives(self, client, codec):
         with pytest.raises(BrokerError) as err:
-            client.hello(codec="zstd")
+            client.call("hello", {"codec": codec})
         assert err.value.code == "BAD_REQUEST"
-        assert "zstd" in err.value.message
+        assert err.value.message == (
+            f"unsupported codec {codec!r}; server offers ['json']"
+        )
         # the hello error did not upgrade anything: same connection,
-        # still JSON lines, still serving
-        client._negotiate = None  # drop the refused wish before reconnects
+        # still JSON lines, still serving — and so does a reconnect
         assert client.status()["protocol_version"] == PROTOCOL_VERSION
-
-    def test_msgpack_gated_on_import(self, client):
-        if "msgpack" in CODECS:  # pragma: no cover — env-dependent
-            result = client.hello(codec="msgpack")
-            assert result["codec"] == "msgpack"
-            assert client.status()["protocol_version"] == PROTOCOL_VERSION
-        else:
-            with pytest.raises(BrokerError) as err:
-                client.hello(codec="msgpack")
-            assert err.value.code == "BAD_REQUEST"
+        client.close()
+        assert client.status()["protocol_version"] == PROTOCOL_VERSION
 
     def test_hello_before_connect_negotiates_on_connect(self, daemon):
         client = BrokerClient(port=daemon.port, timeout_s=10.0)
         try:
-            result = client.hello(codec="binary", pipeline=True, max_inflight=4)
-            assert result["codec"] == "binary"
+            result = client.hello(pipeline=True, max_inflight=4)
+            assert result["codec"] == "json"
             assert result["pipeline"] is True
             assert result["max_inflight"] == 4
         finally:
@@ -99,6 +83,23 @@ class TestHelloNegotiation:
         with pytest.raises(BrokerError) as err:
             client.hello(pipeline=True, max_inflight=100_000)
         assert err.value.code == "BAD_REQUEST"
+
+    def test_refused_hello_keeps_the_granted_negotiation(self, client):
+        client.hello(pipeline=True, max_inflight=4)
+        with pytest.raises(BrokerError) as err:
+            client.hello(pipeline=True, max_inflight=100_000)
+        assert err.value.code == "BAD_REQUEST"
+        client.close()  # simulate transport death
+        # the reconnect replays the last *granted* hello, not the refused one
+        assert client.status()["protocol_version"] == PROTOCOL_VERSION
+        assert client._pipeline is True and client._max_inflight == 4
+
+    def test_refused_first_hello_leaves_reconnects_plain(self, client):
+        with pytest.raises(BrokerError):
+            client.hello(pipeline=True, max_inflight=0)
+        client.close()
+        assert client.status()["protocol_version"] == PROTOCOL_VERSION
+        assert client._pipeline is False
 
 
 class TestPipelinedBursts:
@@ -131,12 +132,6 @@ class TestPipelinedBursts:
         for r in good:
             client.release(r["lease_id"])
 
-    def test_binary_pipelined_burst(self, client):
-        client.hello(codec="binary", pipeline=True, max_inflight=4)
-        results = client.call_many("status", [None] * 10)
-        assert len(results) == 10
-        assert all(not isinstance(r, BrokerError) for r in results)
-
     def test_empty_burst(self, client):
         client.hello(pipeline=True)
         assert client.call_many("status", []) == []
@@ -144,13 +139,21 @@ class TestPipelinedBursts:
 
 class TestReconnectRenegotiation:
     def test_reconnect_replays_negotiation(self, client):
-        client.hello(codec="binary", pipeline=True, max_inflight=4)
+        client.hello(pipeline=True, max_inflight=4)
         client.close()  # simulate transport death
         # plain call reconnects; connect() must replay the negotiation
-        # before this request goes out, or the codecs would disagree
+        # before this request goes out
         assert client.status()["protocol_version"] == PROTOCOL_VERSION
-        assert client._codec == "binary"
+        assert client._pipeline is True and client._max_inflight == 4
         results = client.call_many("status", [None] * 3)
+        assert all(not isinstance(r, BrokerError) for r in results)
+
+    def test_call_many_right_after_transport_death(self, client):
+        client.hello(pipeline=True, max_inflight=4)
+        client.close()  # simulate transport death
+        # call_many itself reconnects, which replays the pipelining
+        results = client.call_many("status", [None] * 6)
+        assert len(results) == 6
         assert all(not isinstance(r, BrokerError) for r in results)
 
 
@@ -239,9 +242,8 @@ class TestWireLevelPipelining:
 
         asyncio.run(run())
 
-    def test_binary_frames_on_the_wire(self, scenario):
-        """After a binary hello, responses are length-prefixed frames."""
-        from repro.broker.protocol import FRAME_HEADER, encode_frame
+    def test_binary_hello_refused_on_the_wire(self, scenario):
+        """A non-JSON codec is refused in a JSON line; the socket stays open."""
 
         async def run():
             source = CachedSnapshotSource(scenario.snapshot, max_age_s=1e9)
@@ -256,21 +258,18 @@ class TestWireLevelPipelining:
                     "v": 1, "id": "h", "op": "hello",
                     "params": {"codec": "binary"},
                 }
-                writer.write((json.dumps(hello) + "\n").encode())
-                # hello response still travels as a JSON line
-                obj = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
-                assert obj["ok"] is True and obj["result"]["codec"] == "binary"
-                # ...but the next exchange is framed in both directions
-                frame = encode_frame(
-                    {"v": 1, "id": "s1", "op": "status"}, "binary"
+                status = {"v": 1, "id": "s1", "op": "status"}
+                writer.write(
+                    (json.dumps(hello) + "\n" + json.dumps(status) + "\n").encode()
                 )
-                writer.write(frame)
-                header = await asyncio.wait_for(
-                    reader.readexactly(FRAME_HEADER.size), 5.0
+                refused = json.loads(
+                    await asyncio.wait_for(reader.readline(), 5.0)
                 )
-                (length,) = FRAME_HEADER.unpack(header)
-                payload = await asyncio.wait_for(reader.readexactly(length), 5.0)
-                response = json.loads(payload)
+                assert refused["id"] == "h" and refused["ok"] is False
+                assert refused["error"]["code"] == "BAD_REQUEST"
+                response = json.loads(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
                 assert response["id"] == "s1" and response["ok"] is True
                 writer.close()
             finally:
@@ -306,7 +305,7 @@ class TestChaosTransportMirror:
             socket_factory=ScriptedSocketFactory(service), connect_retries=0
         )
         with pytest.raises(BrokerError) as err:
-            client.hello(codec="binary")
+            client.call("hello", {"codec": "binary"})
         assert err.value.code == "BAD_REQUEST"
         with pytest.raises(BrokerError) as err:
             client.hello(pipeline=True)

@@ -118,8 +118,8 @@ class _DriftingSource:
     """A push-style monitor: each tick serves a delta-patched snapshot.
 
     This is the shape :class:`~repro.monitor.snapshot.CachedSnapshotSource`
-    produces in incremental mode — snapshots chained by stashed step
-    deltas — so both the single broker and the federation exercise their
+    produces on every value-only refresh — snapshots chained by stashed
+    step deltas — so both the single broker and the federation exercise their
     real incremental paths (array-store patching, shard-slice catch-up)
     rather than full rebuilds.
     """

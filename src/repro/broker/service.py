@@ -12,11 +12,9 @@ needs beyond the one-shot :class:`~repro.core.broker.ResourceBroker`:
 * **decision memoization**: allocation is a pure function of
   ``(snapshot, request, held nodes)``, so repeated identical requests on
   an unchanged cluster return the cached answer in microseconds.  The
-  memo is keyed on the snapshot's *lineage* (``serial, generation`` from
-  :func:`repro.monitor.delta.snapshot_lineage`): a delta-patched
-  snapshot advances the generation and evicts exactly the entries whose
-  usable-node scope intersects the delta's affected nodes, while any
-  other lineage change clears the memo wholesale;
+  memo belongs to the snapshot's *lineage* (``serial, generation`` from
+  :func:`repro.monitor.delta.snapshot_lineage`) and is cleared whenever
+  the served snapshot's lineage changes — a patch or a rebuild alike;
 * a **batch solver**: :meth:`allocate_batch` decides every request
   before granting any lease — greedy in priority order, then a pairwise
   order-swap improvement pass — so a batch's total Equation-4 cost is
@@ -81,24 +79,26 @@ _TOKEN_MEMO_CAP = 4096
 _DECISION_MEMO_CAP = 4096
 
 
-def _usable(snapshot: ClusterSnapshot, held: frozenset[str]) -> frozenset[str]:
-    """The nodes a decision may use: monitored, live and not held."""
-    scope = frozenset(snapshot.nodes) & frozenset(snapshot.livehosts)
-    return scope - held if held else scope
-
-
-def _check_ppn(params: AllocateParams, usable: frozenset[str]) -> None:
-    """Refuse a request that an explicit ``ppn`` cannot fit on ``usable``.
+def _check_ppn(
+    params: AllocateParams, snapshot: ClusterSnapshot, held: frozenset[str]
+) -> None:
+    """Refuse a request that an explicit ``ppn`` cannot fit.
 
     Algorithm 1 round-robins a remainder it cannot place over the nodes
     it visited (lines 12-13), which would grant more than ``ppn``
     processes per node.  A lease must honour the ``ppn`` it was asked
-    for, so the broker denies instead.
+    for, so the broker denies when the usable nodes — monitored, live
+    and not held — cannot take ``n_processes`` at ``ppn`` each.
     """
-    if params.ppn is not None and params.n_processes > params.ppn * len(usable):
+    if params.ppn is None:
+        return
+    usable = len(
+        (frozenset(snapshot.nodes) & frozenset(snapshot.livehosts)) - held
+    )
+    if params.n_processes > params.ppn * usable:
         raise AllocationError(
             f"{params.n_processes} processes do not fit at ppn={params.ppn} "
-            f"on {len(usable)} usable node(s)"
+            f"on {usable} usable node(s)"
         )
 
 
@@ -221,9 +221,9 @@ class BrokerService:
         #: run the pairwise order-swap improvement pass over each batch
         self.batch_improve = batch_improve
         self.batch_improve_passes = batch_improve_passes
-        # lineage-keyed decision memo: key → (usable-node scope, outcome)
+        # decision memo for the lineage in _memo_lineage: key → outcome
         self._decision_memo: OrderedDict[
-            _DecisionKey, tuple[frozenset[str], Allocation | AllocationError]
+            _DecisionKey, Allocation | AllocationError
         ] = OrderedDict()
         self._memo_lineage: tuple[int, int] | None = None
         # -- elastic reconfiguration plumbing ---------------------------
@@ -461,7 +461,7 @@ class BrokerService:
         # twice expect two draws — and are the only rng consumers.
         memoizable = self.memoize_decisions and policy != "random"
         if not memoizable:
-            _check_ppn(params, _usable(snapshot, held))
+            _check_ppn(params, snapshot, held)
             return self._broker.request(
                 request,
                 rng=self._rng,
@@ -469,8 +469,7 @@ class BrokerService:
                 exclude=held or None,
                 snapshot=snapshot,
             ).allocation
-        serial, generation, affected = snapshot_lineage(snapshot)
-        self._sync_decision_memo(serial, generation, affected)
+        self._sync_decision_memo(snapshot_lineage(snapshot))
         key: _DecisionKey = (
             policy,
             params.n_processes,
@@ -482,74 +481,41 @@ class BrokerService:
         if hit is not None:
             self._decision_memo.move_to_end(key)
             self.metrics.decisions_memoized += 1
-            outcome = hit[1]
-            if isinstance(outcome, AllocationError):
-                raise outcome
-            return outcome
-        # The decision depends on every usable node (normalization runs
-        # over the whole set), so the entry's invalidation scope is the
-        # usable set itself — a delta touching none of these nodes
-        # cannot change the outcome.
-        scope = _usable(snapshot, held)
+            if isinstance(hit, AllocationError):
+                raise hit
+            return hit
         try:
-            _check_ppn(params, scope)
+            _check_ppn(params, snapshot, held)
             allocation = self._broker.request(
                 request, policy=chosen, exclude=held or None, snapshot=snapshot
             ).allocation
         except WaitRecommended:
             raise  # depends on the threshold config, not worth caching
         except AllocationError as exc:
-            self._memo_store(key, scope, exc)  # a denial is deterministic too
+            self._memo_store(key, exc)  # a denial is deterministic too
             raise
-        self._memo_store(key, scope, allocation)
+        self._memo_store(key, allocation)
         return allocation
 
     def _memo_store(
-        self,
-        key: _DecisionKey,
-        scope: frozenset[str],
-        outcome: Allocation | AllocationError,
+        self, key: _DecisionKey, outcome: Allocation | AllocationError
     ) -> None:
-        self._decision_memo[key] = (scope, outcome)
+        self._decision_memo[key] = outcome
         while len(self._decision_memo) > _DECISION_MEMO_CAP:
             self._decision_memo.popitem(last=False)
 
-    def _sync_decision_memo(
-        self,
-        serial: int,
-        generation: int,
-        affected: frozenset[str] | None,
-    ) -> None:
-        """Reconcile the decision memo with the current snapshot lineage.
+    def _sync_decision_memo(self, lineage: tuple[int, int]) -> None:
+        """Clear the decision memo unless ``lineage`` is the one it holds.
 
-        A one-step advance on the same lineage (``generation == memo
-        generation + 1`` with a known affected set) evicts exactly the
-        entries whose usable-node scope intersects the delta; any other
-        transition — new serial (full rebuild), a skipped generation, or
-        an unknown affected set — clears the memo wholesale, which is
-        the safe historical "memo dies with the snapshot" behaviour.
+        Every new snapshot — a delta patch (next generation) or a full
+        rebuild (new serial) — may change any decision, because Eq. 1–2
+        normalize over every usable node; a memo hit therefore only
+        replays a decision made on the very snapshot being served.
         """
-        lineage = (serial, generation)
-        if self._memo_lineage == lineage:
-            return
-        if (
-            self._memo_lineage is not None
-            and affected is not None
-            and serial == self._memo_lineage[0]
-            and generation == self._memo_lineage[1] + 1
-        ):
-            stale = [
-                key
-                for key, (scope, _) in self._decision_memo.items()
-                if scope & affected
-            ]
-            for key in stale:
-                del self._decision_memo[key]
-            self.metrics.decisions_invalidated += len(stale)
-        else:
+        if self._memo_lineage != lineage:
             self.metrics.decisions_invalidated += len(self._decision_memo)
             self._decision_memo.clear()
-        self._memo_lineage = lineage
+            self._memo_lineage = lineage
 
     def _grant_result(
         self, lease: Lease, allocation: Allocation
@@ -749,7 +715,6 @@ class BrokerService:
                 "refreshes": self._snapshots.refreshes,
                 "hits": self._snapshots.hits,
                 "fallbacks": self._snapshots.fallbacks,
-                "incremental": self._snapshots.incremental,
                 "deltas_applied": self._snapshots.deltas_applied,
                 "deltas_empty": self._snapshots.deltas_empty,
                 "delta_full_rebuilds": self._snapshots.delta_full_rebuilds,

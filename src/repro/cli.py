@@ -399,7 +399,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sc.snapshot,
         max_age_s=args.snapshot_max_age_s,
         refresh_hook=refresh_hook,
-        incremental=args.incremental,
     )
     shards = getattr(args, "shards", 0)
     if shards > 0:
@@ -774,11 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how often expired leases are reclaimed")
     p.add_argument("--snapshot-max-age-s", type=float, default=5.0,
                    help="serve decisions from a snapshot at most this old")
-    p.add_argument("--incremental", action="store_true",
-                   help="refresh snapshots via delta patches (the "
-                        "snapshot's array store is patched once and each "
-                        "decision slices it; structural changes still "
-                        "fall back to a full rebuild)")
     p.add_argument("--advance-on-refresh-s", type=float, default=5.0,
                    help="simulated seconds the cluster advances per "
                         "snapshot refresh (0 = frozen cluster)")

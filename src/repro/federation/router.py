@@ -2,8 +2,10 @@
 
 One :class:`FederationRouter` fronts N :class:`~repro.broker.service.
 BrokerService` shards, each deciding placements over its own slice of
-the monitor snapshot (see :mod:`repro.monitor.slicing`) with a
-namespaced lease table (``shard1:L00000001``).  The router duck-types
+the monitor snapshot (see :mod:`repro.monitor.slicing`; a shard's
+sliced source catches itself up whenever the shard decides, so the
+router never pushes snapshots) with a namespaced lease table
+(``shard1:L00000001``).  The router duck-types
 the ``BrokerService`` surface the daemon drives — ``allocate_batch`` /
 ``renew`` / ``release`` / ``reconfigure`` / ``status`` /
 ``sweep_expired`` plus a ``metrics`` object — so the whole asyncio
@@ -60,12 +62,6 @@ from repro.core.policies import NetworkLoadAwarePolicy
 from repro.core.weights import ComputeWeights, NetworkWeights
 from repro.elastic.executor import release_quietly
 from repro.util.atomic import atomic_between_awaits
-from repro.monitor.delta import (
-    SnapshotDelta,
-    compose_deltas,
-    snapshot_lineage,
-    snapshot_step_delta,
-)
 from repro.monitor.slicing import ShardSnapshotSource
 from repro.monitor.snapshot import ClusterSnapshot, SnapshotUnavailableError
 from repro.scheduler.leases import Lease
@@ -75,10 +71,6 @@ CROSS_SHARD_PREFIX = "x"
 
 #: how many idempotency tokens the router remembers (LRU)
 _TOKEN_MEMO_CAP = 4096
-
-#: how many parent step deltas the router logs so lagging shard slices
-#: can catch up by composition instead of a full re-slice
-_DELTA_LOG_CAP = 128
 
 
 @dataclass
@@ -94,9 +86,6 @@ class Shard:
     shard_id: str
     service: BrokerService
     alive: bool = True
-    #: the shard's sliced snapshot source, when the router wired it
-    #: (:func:`build_federation`) — lets the router push delta catch-ups
-    source: ShardSnapshotSource | None = None
 
 
 class FederationRouter:
@@ -183,10 +172,6 @@ class FederationRouter:
         # PartitionedLoadState cache, keyed by snapshot identity
         self._plist: PartitionedLoadState | None = None
         self._plist_snapshot: ClusterSnapshot | None = None
-        # parent step deltas by (serial, generation), for shard catch-up
-        self._delta_log: OrderedDict[tuple[int, int], SnapshotDelta] = (
-            OrderedDict()
-        )
         self._started_at = clock()
 
     # ------------------------------------------------------------------
@@ -229,16 +214,6 @@ class FederationRouter:
         except SnapshotUnavailableError as exc:
             raise ProtocolError(ErrorCode.MONITOR_STALE, str(exc)) from None
         if snapshot is not self._plist_snapshot or self._plist is None:
-            step = None
-            if self._plist_snapshot is not None:
-                step = snapshot_step_delta(snapshot, self._plist_snapshot)
-            if step is not None:
-                # one generation ahead on the same lineage: log the step
-                # so shard slices can catch up by delta composition
-                serial, generation, _ = snapshot_lineage(snapshot)
-                self._delta_log[(serial, generation)] = step
-                while len(self._delta_log) > _DELTA_LOG_CAP:
-                    self._delta_log.popitem(last=False)
             self._plist = PartitionedLoadState(
                 snapshot,
                 self.partition,
@@ -249,49 +224,6 @@ class FederationRouter:
             )
             self._plist_snapshot = snapshot
         return self._plist
-
-    def _logged_steps(
-        self, old: ClusterSnapshot, new: ClusterSnapshot
-    ) -> list[SnapshotDelta] | None:
-        """Every logged step delta from ``old`` up to ``new``, in order.
-
-        ``None`` when the gap cannot be bridged — different lineage, or
-        a step already evicted from the bounded log.
-        """
-        old_serial, old_generation, _ = snapshot_lineage(old)
-        serial, generation, _ = snapshot_lineage(new)
-        if serial != old_serial or generation <= old_generation:
-            return None
-        steps: list[SnapshotDelta] = []
-        for g in range(old_generation + 1, generation + 1):
-            step = self._delta_log.get((serial, g))
-            if step is None:
-                return None
-            steps.append(step)
-        return steps
-
-    def _sync_shard_source(self, shard_id: str) -> None:
-        """Catch the shard's sliced source up to the router's snapshot.
-
-        The router sees every parent advance; member shards only see
-        what they are asked to serve.  Before forwarding, the lagging
-        slice is brought current with one composed O(changed) patch —
-        the slice's own fallback (full re-slice + diff) runs only when
-        the delta log cannot bridge the gap.
-        """
-        shard = self._shards[shard_id]
-        parent = self._plist_snapshot
-        if shard.source is None or parent is None:
-            return
-        old = shard.source.parent_snapshot
-        if old is parent:
-            return
-        if old is not None:
-            steps = self._logged_steps(old, parent)
-            if steps is not None:
-                shard.source.sync_to(parent, compose_deltas(steps))
-                return
-        shard.source.sync(parent)
 
     def _held_nodes(self) -> frozenset[str]:
         held: set[str] = set()
@@ -419,7 +351,6 @@ class FederationRouter:
                 self.spills += 1
             first = False
             self.forwards += 1
-            self._sync_shard_source(sid)
             out = self._shards[sid].service.allocate_batch([params])[0]
             if isinstance(out, ProtocolError):
                 if out.code in (ErrorCode.NO_CAPACITY, ErrorCode.WAIT):
@@ -513,7 +444,6 @@ class FederationRouter:
                     priority=params.priority,
                 )
                 self.forwards += 1
-                self._sync_shard_source(sid)
                 out = service.allocate_batch([sub])[0]
                 if isinstance(out, ProtocolError):
                     raise ProtocolError(
@@ -625,7 +555,9 @@ class FederationRouter:
         members = self._fed_leases.get(params.lease_id)
         if members is None:
             _, service = self._owner(params.lease_id)
-            return service.renew(params)
+            out = service.renew(params)
+            self.metrics.renewed += 1
+            return out
         outs = []
         for sid, member_id in members:
             service = self._live_service(sid)
@@ -647,7 +579,9 @@ class FederationRouter:
         members = self._fed_leases.pop(params.lease_id, None)
         if members is None:
             _, service = self._owner(params.lease_id)
-            return service.release(params)
+            out = service.release(params)
+            self.metrics.released += 1
+            return out
         nodes: list[str] = []
         for sid, member_id in members:
             shard = self._shards[sid]
@@ -688,6 +622,7 @@ class FederationRouter:
         for shard in self._shards.values():
             if shard.alive:
                 reclaimed.extend(shard.service.sweep_expired())
+        self.metrics.expired += len(reclaimed)
         for fed_id, members in list(self._fed_leases.items()):
             broken = any(
                 not self._shards[sid].alive
@@ -833,7 +768,8 @@ def build_federation(
     """Wire a full federation: sliced sources, namespaced shard services.
 
     Each shard gets a :class:`ShardSnapshotSource` over the parent
-    source (identity-reuse + delta-patching of its slice) and a
+    source (identity reuse, else a delta patch of its slice, polled by
+    the shard's own service) and a
     :class:`BrokerService` whose lease table is namespaced with the
     shard id.  ``service_kwargs`` go to every shard service verbatim.
 
@@ -853,17 +789,16 @@ def build_federation(
                 prune_threshold=threshold, prune_keep=PRUNE_KEEP_DEFAULT
             )
         }
-    services: dict[str, BrokerService] = {}
-    sources: dict[str, ShardSnapshotSource] = {}
-    for sid, nodes in partition.items():
-        sources[sid] = ShardSnapshotSource(snapshot_source, nodes)
-        services[sid] = BrokerService(
-            sources[sid],
+    services = {
+        sid: BrokerService(
+            ShardSnapshotSource(snapshot_source, nodes),
             clock=clock,
             lease_namespace=f"{sid}:",
             **service_kwargs,
         )
-    router = FederationRouter(
+        for sid, nodes in partition.items()
+    }
+    return FederationRouter(
         snapshot_source,
         partition,
         services,
@@ -872,6 +807,3 @@ def build_federation(
         ppn=router_ppn,
         commit_hook=commit_hook,
     )
-    for sid, source in sources.items():
-        router.shard(sid).source = source
-    return router

@@ -17,29 +17,28 @@ This module provides the three pieces of the incremental path:
   immutable :class:`~repro.monitor.snapshot.ClusterSnapshot`, patch its
   one :class:`~repro.core.arrays.ArrayStore` (O(changed) instead of a
   rebuild; decisions on the new snapshot slice the patched store), and
-  stamp the new snapshot's *lineage* so the broker's decision memo can
-  invalidate exactly the affected entries.
+  stamp the new snapshot's *lineage* and the step that produced it.
 
 Lineage: every snapshot belongs to a ``(serial, generation)`` line.  A
 full rebuild starts a new serial at generation 0; each applied delta
-bumps the generation and records which nodes the delta touched.  The
-broker reads this via :func:`snapshot_lineage` — same serial and a +1
-generation means "the previous memo survives except entries whose
-usable-node scope intersects ``affected``".
+bumps the generation.  The broker's decision memo reads it via
+:func:`snapshot_lineage` and clears whenever it changes; a shard's
+sliced source reads it via :func:`snapshot_step_delta` to catch up one
+step without re-diffing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.monitor.snapshot import ClusterSnapshot, NodeView, derived_cache
 
 PairKey = tuple[str, str]
 
-#: key under which the (serial, generation, affected) triple lives in a
-#: snapshot's ``derived_cache``
+#: key under which the (serial, generation) pair lives in a snapshot's
+#: ``derived_cache``
 _LINEAGE_KEY = "snapshot_lineage"
 
 #: key under which a delta-patched snapshot stashes the exact
@@ -78,17 +77,6 @@ class SnapshotDelta:
     @property
     def is_empty(self) -> bool:
         return not (self.nodes or self.bandwidth_mbs or self.latency_us)
-
-    def affected_nodes(self) -> frozenset[str]:
-        """Every node whose own view or incident link the delta touches."""
-        touched = set(self.nodes)
-        for a, b in self.bandwidth_mbs:
-            touched.add(a)
-            touched.add(b)
-        for a, b in self.latency_us:
-            touched.add(a)
-            touched.add(b)
-        return frozenset(touched)
 
 
 def _moved(old: float, new: float) -> bool:
@@ -175,48 +163,19 @@ def compute_delta(old: ClusterSnapshot, new: ClusterSnapshot) -> SnapshotDelta |
     )
 
 
-def snapshot_lineage(
-    snapshot: ClusterSnapshot,
-) -> tuple[int, int, frozenset[str] | None]:
-    """The snapshot's ``(serial, generation, affected)`` lineage triple.
+def snapshot_lineage(snapshot: ClusterSnapshot) -> tuple[int, int]:
+    """The snapshot's ``(serial, generation)`` lineage pair.
 
     Snapshots that never went through :func:`apply_snapshot_delta` get a
-    fresh serial at generation 0 on first access (``affected`` is
-    ``None``): each independently built snapshot is its own line, which
-    preserves the historical "memo dies with the snapshot" behaviour for
-    non-incremental sources.
+    fresh serial at generation 0 on first access: each independently
+    built snapshot is its own line.
     """
     cache = derived_cache(snapshot)
     lineage = cache.get(_LINEAGE_KEY)
     if lineage is None:
-        lineage = (next(_SERIALS), 0, None)
+        lineage = (next(_SERIALS), 0)
         cache[_LINEAGE_KEY] = lineage
     return lineage
-
-
-def compose_deltas(steps: Sequence[SnapshotDelta]) -> SnapshotDelta:
-    """Collapse consecutive step deltas into one equivalent delta.
-
-    Applying the result equals applying the steps in order: each map is
-    merged with later steps winning (node views are full replacements,
-    link entries are point values), and the composed time is the last
-    step's.  Raises ``ValueError`` on an empty sequence.
-    """
-    if not steps:
-        raise ValueError("cannot compose zero deltas")
-    nodes: dict[str, NodeView] = {}
-    bandwidth: dict[PairKey, float] = {}
-    latency: dict[PairKey, float] = {}
-    for step in steps:
-        nodes.update(step.nodes)
-        bandwidth.update(step.bandwidth_mbs)
-        latency.update(step.latency_us)
-    return SnapshotDelta(
-        time=steps[-1].time,
-        nodes=nodes,
-        bandwidth_mbs=bandwidth,
-        latency_us=latency,
-    )
 
 
 def snapshot_step_delta(
@@ -235,8 +194,8 @@ def snapshot_step_delta(
     delta = derived_cache(snapshot).get(_STEP_DELTA_KEY)
     if delta is None:
         return None
-    old_serial, old_generation, _ = snapshot_lineage(after)
-    serial, generation, _ = snapshot_lineage(snapshot)
+    old_serial, old_generation = snapshot_lineage(after)
+    serial, generation = snapshot_lineage(snapshot)
     if serial != old_serial or generation != old_generation + 1:
         return None
     return delta
@@ -263,9 +222,9 @@ def apply_snapshot_delta(
         peak_bandwidth_mbs=old.peak_bandwidth_mbs,
         livehosts=old.livehosts,
     )
-    serial, generation, _ = snapshot_lineage(old)
+    serial, generation = snapshot_lineage(old)
     cache = derived_cache(patched)
-    cache[_LINEAGE_KEY] = (serial, generation + 1, delta.affected_nodes())
+    cache[_LINEAGE_KEY] = (serial, generation + 1)
     cache[_STEP_DELTA_KEY] = delta
     # Local import: arrays.py imports the snapshot module at import
     # time, so the dependency must stay one-way at module load.

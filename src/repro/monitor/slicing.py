@@ -13,10 +13,10 @@ projects a :class:`~repro.monitor.delta.SnapshotDelta` the same way; and
 source that keeps the incremental hot path alive: when the parent serves
 the same object, the previous slice is returned identity-equal (so every
 ``derived_cache`` memo — array store, LoadState slices, lineage —
-survives), and when the parent advanced, the new slice is produced by
-delta-patching the old one (``compute_delta`` → ``apply_snapshot_delta``)
-so the shard's array store is patched once in O(changed) instead of
-rebuilt.
+survives); when the parent advanced by one step, that step is projected
+and patched in; after a longer gap the slice is recut and patched
+through ``compute_delta``.  Either way the shard's array store is
+patched once in O(changed) instead of rebuilt.
 """
 
 from __future__ import annotations
@@ -83,16 +83,18 @@ class ShardSnapshotSource:
     """A shard-local snapshot source over a parent source.
 
     Callable like every snapshot source (``() -> ClusterSnapshot``).
-    The parent is polled on every call; slicing work happens only when
-    the parent actually served a new object:
+    The parent is polled on every call, so a shard catches itself up
+    whenever its service decides; slicing work happens only when the
+    parent actually served a new object:
 
     * same parent object → the previous slice, identity-equal
       (``reuses`` counter);
-    * parent advanced without structural change → the old slice is
-      delta-patched into the new one, patching its array store once
-      (``deltas`` counter);
-    * structural change (nodes/links/livehosts appeared or vanished) →
-      a fresh slice from scratch (``rebuilds`` counter).
+    * parent one stashed step ahead of the last one seen → that step,
+      projected onto the shard, patches the old slice (``deltas``);
+    * any other parent → a fresh slice, diffed against the old one and
+      patched in when only values moved (``deltas``), or served as is
+      on a structural change — nodes/links/livehosts appeared or
+      vanished (``rebuilds``).
     """
 
     def __init__(
@@ -110,11 +112,6 @@ class ShardSnapshotSource:
         self.deltas = 0
         self.rebuilds = 0
 
-    @property
-    def parent_snapshot(self) -> ClusterSnapshot | None:
-        """The parent snapshot the current slice was derived from."""
-        return self._parent
-
     def __call__(self) -> ClusterSnapshot:
         return self.sync(self._source())
 
@@ -126,46 +123,24 @@ class ShardSnapshotSource:
         (O(changed), no re-diffing); a full reslice with a slice-level
         diff so the shard's array store is still patched, not rebuilt.
         """
-        if parent is self._parent and self._sliced is not None:
+        old = self._sliced
+        if parent is self._parent and old is not None:
             self.reuses += 1
-            return self._sliced
-        if self._parent is not None and self._sliced is not None:
+            return old
+        step = None
+        if self._parent is not None:
             step = snapshot_step_delta(parent, self._parent)
-            if step is not None:
-                return self.sync_to(parent, step)
-        fresh = slice_snapshot(parent, self.nodes)
-        if self._sliced is not None:
-            delta = compute_delta(self._sliced, fresh)
-            if delta is not None:
-                fresh = apply_snapshot_delta(self._sliced, delta)
+        if old is not None and step is not None:
+            fresh = apply_snapshot_delta(old, slice_delta(step, self.nodes))
+            self.deltas += 1
+        else:
+            fresh = slice_snapshot(parent, self.nodes)
+            delta = None if old is None else compute_delta(old, fresh)
+            if old is not None and delta is not None:
+                fresh = apply_snapshot_delta(old, delta)
                 self.deltas += 1
             else:
                 self.rebuilds += 1
-        else:
-            self.rebuilds += 1
-        self._parent = parent
-        self._sliced = fresh
-        return fresh
-
-    def sync_to(
-        self, parent: ClusterSnapshot, delta: SnapshotDelta
-    ) -> ClusterSnapshot:
-        """Adopt ``parent`` given the (possibly composed) parent delta.
-
-        The caller asserts that ``delta`` spans exactly the gap between
-        the current parent and ``parent`` — the federation router keeps
-        a step-delta log precisely so lagging shards can catch up in
-        O(changed) no matter how many snapshots they slept through.
-        """
-        if parent is self._parent and self._sliced is not None:
-            self.reuses += 1
-            return self._sliced
-        if self._sliced is None:
-            return self.sync(parent)
-        fresh = apply_snapshot_delta(
-            self._sliced, slice_delta(delta, self.nodes)
-        )
-        self.deltas += 1
         self._parent = parent
         self._sliced = fresh
         return fresh

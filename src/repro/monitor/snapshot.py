@@ -334,34 +334,36 @@ class CachedSnapshotSource:
     A daemon serving a request stream must not rebuild the snapshot per
     request (that would defeat the per-snapshot ``derived_cache`` memo),
     nor serve an arbitrarily old one.  This wrapper memoizes the last
-    snapshot and rebuilds only when it is older than ``max_age_s`` by the
-    injected ``clock`` — so every request decided within one freshness
-    window shares one snapshot object *and therefore one array store and
-    its memoized slices*.
+    snapshot and refreshes only when it is older than ``max_age_s`` by
+    the injected ``clock`` — so every request decided within one
+    freshness window shares one snapshot object *and therefore one array
+    store and its memoized slices*.
 
-    ``refresh_hook`` (optional) runs right before each rebuild; the serve
+    Each refresh diffs the freshly built snapshot against the one being
+    served (:func:`repro.monitor.delta.compute_delta`) and serves a
+    *patched* snapshot that carries the previous snapshot's array store,
+    patched once in O(changed), and the next generation of its
+    ``(serial, generation)`` lineage.  Decisions on the patched snapshot
+    cut fresh slices of the store.  Structural changes (nodes, links, or
+    livehosts appearing/vanishing, a static spec moving) install the
+    fresh build instead, which starts a new lineage; an empty delta
+    keeps serving the existing snapshot object unchanged.
+
+    ``refresh_hook`` (optional) runs right before each refresh; the serve
     command uses it to advance the simulated cluster so monitor daemons
     produce genuinely new data between refreshes.
 
     ``lkg_max_age_s`` (optional) arms a *last-known-good* fallback: when
-    a rebuild fails (the source raises) or yields an empty snapshot —
+    a refresh fails (the source raises) or yields an empty snapshot —
     every record corrupt, every daemon dead — the previous snapshot keeps
     being served as long as it is no older than this bound.  Past the
     bound, :class:`SnapshotUnavailableError` propagates so callers can
     answer with a typed denial.  ``None`` (default) keeps the historical
     fail-fast behaviour.
 
-    ``incremental`` turns on the delta path: each refresh diffs the
-    freshly built snapshot against the one currently being served
-    (:func:`repro.monitor.delta.compute_delta`)
-    and serves a *patched* snapshot that carries the previous snapshot's
-    array store, patched once in O(changed), and a ``(serial,
-    generation)`` lineage — so neither the allocator's raw Equation-1/2
-    inputs nor the broker's decision memo restart from zero.  Decisions
-    on the patched snapshot cut fresh slices of the store.  Structural
-    changes (nodes, links, or livehosts appearing/vanishing) fall back
-    to a full rebuild; an empty delta keeps serving the existing
-    snapshot object unchanged.
+    ``incremental`` is accepted and ignored: there is no other refresh
+    mode.  It remains only because perfbench's system wiring still
+    passes ``incremental=True``; delete it once that caller drops it.
     """
 
     def __init__(
@@ -372,7 +374,7 @@ class CachedSnapshotSource:
         clock=None,
         refresh_hook=None,
         lkg_max_age_s: float | None = None,
-        incremental: bool = False,
+        incremental: bool = True,
     ) -> None:
         if max_age_s < 0:
             raise ValueError(f"max_age_s must be non-negative: {max_age_s}")
@@ -388,7 +390,6 @@ class CachedSnapshotSource:
         self.max_age_s = max_age_s
         self.lkg_max_age_s = lkg_max_age_s
         self._refresh_hook = refresh_hook
-        self.incremental = incremental
         self._snapshot: ClusterSnapshot | None = None
         self._built_at: float = float("-inf")
         #: observability counters (surfaced by the broker's status RPC)
@@ -396,14 +397,14 @@ class CachedSnapshotSource:
         self.hits = 0
         #: times a failed rebuild was papered over with the cached snapshot
         self.fallbacks = 0
-        #: incremental-mode counters: patches served, refreshes where
-        #: nothing moved, and structural full rebuilds
+        #: refresh outcomes: patches served, refreshes where nothing
+        #: moved, and structural full rebuilds
         self.deltas_applied = 0
         self.deltas_empty = 0
         self.delta_full_rebuilds = 0
 
     def __call__(self) -> ClusterSnapshot:
-        """The current snapshot, rebuilt only when stale."""
+        """The current snapshot, refreshed only when stale."""
         now = self._clock()
         if (
             self._snapshot is not None
@@ -426,9 +427,9 @@ class CachedSnapshotSource:
         return self._adopt(fresh, now)
 
     def _adopt(self, fresh: ClusterSnapshot, now: float) -> ClusterSnapshot:
-        """Install a freshly built snapshot, incrementally when possible."""
+        """Install a freshly built snapshot as a patch of the served one."""
         prev = self._snapshot
-        if self.incremental and prev is not None:
+        if prev is not None:
             # Local import: the delta module imports this one.
             from repro.monitor.delta import apply_snapshot_delta, compute_delta
 

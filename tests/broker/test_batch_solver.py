@@ -1,17 +1,16 @@
-"""Batch solver and lineage-memo behaviour under incremental snapshots.
+"""Batch solver and lineage-memo behaviour under delta-patched snapshots.
 
-Two PR-6 guarantees live here:
+Two guarantees live here:
 
 * ``allocate_batch`` is a *solver*, not a loop — higher-priority jobs
   are decided first under contention, the swap-improvement pass can only
   lower the summed raw Equation-4 cost, and with all-default priorities
   the grants are identical to the historical sequential arrival-order
   behaviour.
-* the decision memo is keyed on snapshot *lineage*: an applied delta
-  evicts exactly the entries whose usable-node scope intersects the
-  delta's affected nodes — a memo hit can never replay a decision made
-  against data the delta rewrote (the stale-grant regression), while
-  entries untouched by the delta keep their hit.
+* the decision memo is keyed on snapshot *lineage*: any new snapshot —
+  an applied delta or a full rebuild — clears it, so a memo hit can
+  never replay a decision made against data a refresh rewrote (the
+  stale-grant regression).
 """
 
 import dataclasses
@@ -29,12 +28,7 @@ from repro.monitor.snapshot import CachedSnapshotSource
 
 
 def fresh_snapshot(scenario):
-    """A scenario snapshot with its own (empty) derived cache.
-
-    Incremental migration consumes the previous snapshot's cached array
-    states in place, so tests that refresh must not share one snapshot
-    object across services.
-    """
+    """A freshly built scenario snapshot with its own (empty) derived cache."""
     return scenario.snapshot()
 
 
@@ -51,11 +45,9 @@ def drift_loads(snap, names, factor=8.0):
 
 
 def incremental_service(scenario, clock, **kwargs):
-    """Service over an incremental cached source fed by a mutable cell."""
+    """Service over a delta-patching cached source fed by a mutable cell."""
     cell = [fresh_snapshot(scenario)]
-    source = CachedSnapshotSource(
-        lambda: cell[-1], max_age_s=5.0, clock=clock, incremental=True
-    )
+    source = CachedSnapshotSource(lambda: cell[-1], max_age_s=5.0, clock=clock)
     kwargs.setdefault("default_ttl_s", 30.0)
     return BrokerService(source, clock=clock, **kwargs), cell, source
 
@@ -208,33 +200,8 @@ class TestLineageMemo:
         assert service.metrics.decisions_memoized == 1
         assert set(g3["nodes"]) != set(g1["nodes"])
 
-    def test_delta_on_held_nodes_keeps_disjoint_memo_entries(
-        self, scenario, clock
-    ):
-        """Entries whose scope the delta never touches survive it."""
-        service, cell, source = incremental_service(scenario, clock)
-        big = AllocateParams(n_processes=16, ppn=4)  # pins 4 of 8 nodes
-        [rb] = service.allocate_batch([big])
-        held_nodes = grant_of(rb)["nodes"]
-        small = AllocateParams(n_processes=8, ppn=4)
-        [r1] = service.allocate_batch([small])
-        g1 = grant_of(r1)
-        service.release(ReleaseParams(lease_id=g1["lease_id"]))
-        # drift ONLY the held nodes: the memoized small-job decision was
-        # scoped to the other four, so its entry must survive the delta
-        # (the big job's entry was decided with nothing held — its scope
-        # covers every node, so it alone is evicted)
-        cell.append(drift_loads(cell[-1], held_nodes, factor=50.0))
-        clock.advance(10.0)
-        [r2] = service.allocate_batch([small])
-        g2 = grant_of(r2)
-        assert source.deltas_applied == 1
-        assert g2["nodes"] == g1["nodes"]
-        assert service.metrics.decisions_memoized == 1
-        assert service.metrics.decisions_invalidated == 1
-
     def test_fresh_serial_clears_memo_wholesale(self, scenario, clock):
-        """A non-incremental refresh (new serial) drops every entry."""
+        """A structural refresh (new serial) drops every entry."""
         service, cell, source = incremental_service(scenario, clock)
         p = AllocateParams(n_processes=8, ppn=4)
         [r1] = service.allocate_batch([p])

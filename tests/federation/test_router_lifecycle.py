@@ -13,6 +13,12 @@ from repro.broker.protocol import (
     RenewParams,
     ResolveParams,
 )
+from repro.experiments.scenario import small_scenario
+from repro.federation import (
+    build_federation,
+    snapshot_switches,
+    subtree_partition,
+)
 from tests.federation.conftest import TTL, cross_shard_n, make_federation
 
 
@@ -225,3 +231,29 @@ class TestStatusCounters:
             decided = row["reconfigured"] + row["reconfig_rejected"]
             assert decided == (1 if sid == owner else 0)
         assert rows[owner]["reconfigured"] == int(out["reconfigured"])
+
+    def test_router_metrics_count_single_shard_lease_ops(self):
+        """Single-shard renew, release and swept expiry reach the router's
+        ``metrics`` exactly as the owning shard counts them."""
+        sc = small_scenario(8, seed=1)
+        snap = sc.snapshot()
+        now = [0.0]
+        router = build_federation(
+            lambda: snap,
+            subtree_partition(snapshot_switches(snap), 2),
+            clock=lambda: now[0],
+            default_ttl_s=TTL,
+        )
+        grant = allocate(router, n_processes=2)
+        router.renew(RenewParams(lease_id=grant["lease_id"]))
+        router.release(ReleaseParams(lease_id=grant["lease_id"]))
+        allocate(router, n_processes=2)
+        now[0] += 2 * TTL
+        assert len(router.sweep_expired()) == 1
+        routed = router.status()["metrics"]
+        for key in ("renewed", "released", "expired"):
+            shards = sum(
+                router.shard(sid).service.metrics.snapshot()[key]
+                for sid in router.shard_ids
+            )
+            assert routed[key] == shards == 1, key

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro.monitor.slicing as slicing
+from repro.core.arrays import load_state
 from repro.experiments.scenario import small_scenario
 from repro.federation import snapshot_switches, subtree_partition
 from repro.monitor.slicing import ShardSnapshotSource, slice_snapshot
+from repro.monitor.snapshot import CachedSnapshotSource
+
+from tests.properties.test_delta_differential import assert_states_identical
 
 
 @pytest.fixture
@@ -71,8 +76,55 @@ class TestShardSnapshotSource:
         assert second is not first
         assert second.time > first.time
         assert set(second.nodes) == set(first.nodes)
-        assert source.deltas + source.rebuilds >= 2
+        assert (source.rebuilds, source.deltas, source.reuses) == (1, 1, 0)
 
     def test_rejects_empty_node_set(self, sc):
         with pytest.raises(ValueError):
             ShardSnapshotSource(sc.snapshot, [])
+
+
+class TestCatchUpDifferential:
+    """A lagging slice caught up from a delta-chained parent ≡ a fresh slice."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_catch_up_after_k_parent_steps(self, sc, monkeypatch, k):
+        now = [0.0]
+        parent = CachedSnapshotSource(
+            sc.snapshot,
+            max_age_s=0.0,
+            clock=lambda: now[0],
+            refresh_hook=lambda: sc.advance(30.0),
+        )
+        nodes = subtree_partition(snapshot_switches(parent()), 2)["shard1"]
+        shard = ShardSnapshotSource(parent, nodes)
+        first = shard()
+        load_state(first, nodes=list(first.nodes), ppn=4)  # a store to patch
+        for _ in range(k):
+            now[0] += 1.0
+            parent()
+        assert parent.deltas_applied == k
+        reslices = []
+        real_slice = slicing.slice_snapshot
+        monkeypatch.setattr(
+            slicing,
+            "slice_snapshot",
+            lambda *args: reslices.append(k) or real_slice(*args),
+        )
+        caught = shard()
+        # one stashed step is patched in; a longer gap is resliced
+        assert len(reslices) == (0 if k == 1 else 1)
+        assert (shard.rebuilds, shard.deltas) == (1, 1)
+        fresh = real_slice(parent(), nodes)
+        for attr in (
+            "time",
+            "nodes",
+            "bandwidth_mbs",
+            "latency_us",
+            "peak_bandwidth_mbs",
+            "livehosts",
+        ):
+            assert getattr(caught, attr) == getattr(fresh, attr), attr
+        kwargs = {"nodes": list(fresh.nodes), "ppn": 4}
+        assert_states_identical(
+            load_state(caught, **kwargs), load_state(fresh, **kwargs)
+        )

@@ -7,7 +7,9 @@ Edge behaviour the broker daemon depends on:
 * concurrent readers racing a slow refresh all receive a valid
   snapshot (never ``None``, never a torn state);
 * the ``refreshes``/``hits`` health counters account for every call
-  exactly once, including around ``invalidate()``.
+  exactly once, including around ``invalidate()``;
+* a refresh that only moves values is served as a patch of the cached
+  snapshot, carrying its array store over.
 
 The clock is injected everywhere — no real-time sleeps except the
 barrier-controlled stall inside the concurrency test's fake source.
@@ -19,7 +21,13 @@ import threading
 
 import pytest
 
-from repro.monitor.snapshot import CachedSnapshotSource
+from repro.core.arrays import STORE_KEY, array_store
+from repro.monitor.snapshot import (
+    CachedSnapshotSource,
+    ClusterSnapshot,
+    NodeView,
+    derived_cache,
+)
 
 
 class FakeClock:
@@ -33,15 +41,44 @@ class FakeClock:
         self.t += dt
 
 
+def tiny_snapshot(build: int) -> ClusterSnapshot:
+    """A two-node snapshot whose loads and link move with ``build``."""
+    stats = {k: float(build) for k in ("now", "m1", "m5", "m15")}
+    views = {
+        name: NodeView(
+            name=name,
+            cores=4,
+            frequency_ghz=2.0,
+            memory_gb=8.0,
+            users=0,
+            cpu_load=stats,
+            cpu_util=stats,
+            flow_rate_mbs=stats,
+            available_memory_gb=stats,
+            switch="s0",
+        )
+        for name in ("n0", "n1")
+    }
+    pair = ("n0", "n1")
+    return ClusterSnapshot(
+        time=float(build),
+        nodes=views,
+        bandwidth_mbs={pair: 100.0 + build},
+        latency_us={pair: 5.0 + build},
+        peak_bandwidth_mbs={pair: 1000.0},
+        livehosts=("n0", "n1"),
+    )
+
+
 class CountingSource:
-    """A snapshot source returning a fresh sentinel per build."""
+    """A snapshot source whose every build moves the cluster's values."""
 
     def __init__(self) -> None:
         self.builds = 0
 
-    def __call__(self) -> object:
+    def __call__(self) -> ClusterSnapshot:
         self.builds += 1
-        return ("snapshot", self.builds)
+        return tiny_snapshot(self.builds)
 
 
 @pytest.fixture
@@ -120,11 +157,11 @@ class TestConcurrentReaders:
         build_lock = threading.Lock()
         builds = []
 
-        def slow_source() -> object:
+        def slow_source() -> ClusterSnapshot:
             release.wait(timeout=10.0)
             with build_lock:
                 builds.append(len(builds))
-                return ("snapshot", builds[-1])
+                return tiny_snapshot(builds[-1])
 
         cached = CachedSnapshotSource(slow_source, max_age_s=100.0, clock=clock)
         results: list[object] = [None] * n_readers
@@ -143,7 +180,10 @@ class TestConcurrentReaders:
         for t in threads:
             t.join(timeout=10.0)
         assert all(r is not None for r in results)
-        assert all(isinstance(r, tuple) and r[0] == "snapshot" for r in results)
+        assert all(
+            isinstance(r, ClusterSnapshot) and set(r.nodes) == {"n0", "n1"}
+            for r in results
+        )
         # every call is either a refresh or a hit — none vanish
         assert cached.refreshes + cached.hits == n_readers
         assert cached.refreshes == len(builds)
@@ -199,3 +239,24 @@ class TestHealthCounters:
     def test_age_is_inf_before_first_build(self, clock, source):
         cached = CachedSnapshotSource(source, max_age_s=5.0, clock=clock)
         assert cached.age_s() == float("inf")
+
+
+class TestDeltaRefresh:
+    def test_default_cache_patches_a_value_only_refresh(self, clock, source):
+        """A refresh that moves only values is a patch, not a rebuild."""
+        cached = CachedSnapshotSource(source, max_age_s=5.0, clock=clock)
+        s1 = cached()
+        store = array_store(s1)
+        clock.advance(6.0)
+        s2 = cached()
+        assert s2 is not s1 and s2.time == 2.0
+        assert cached.deltas_applied == 1
+        assert cached.deltas_empty == cached.delta_full_rebuilds == 0
+        # the served snapshot carries the old store, patched: a rebuild
+        # would have built its own index tables
+        carried = derived_cache(s2)[STORE_KEY]
+        assert carried is not store
+        assert carried.index is store.index
+        assert carried.pair_index is store.pair_index
+        assert s2.nodes == tiny_snapshot(2).nodes
+        assert s2.bandwidth_mbs == tiny_snapshot(2).bandwidth_mbs

@@ -29,12 +29,11 @@ from typing import Any, Callable, Iterable
 from repro.broker.client import BrokerError
 from repro.broker.protocol import ProtocolError
 from repro.core.broker import WaitRecommended
-from repro.core.compute_load import compute_loads
-from repro.core.network_load import network_loads, total_group_network_load
 from repro.core.policies import AllocationError, AllocationRequest
 from repro.elastic.executor import ReconfigError
 from repro.monitor.snapshot import ClusterSnapshot, SnapshotUnavailableError
 from repro.monitor.store import StoreCorruptError
+from repro.scenarios.quality import eq4_group_scores
 from repro.scheduler.leases import LeaseError, LeaseTable
 
 #: the exception types a degraded stack is ALLOWED to raise — anything
@@ -155,21 +154,10 @@ class InvariantChecker:
         if not set(chosen) <= known or not set(oracle) <= known:
             self.stats["stale_placements"] += 1
             return 1.0
-        cl = compute_loads(truth, request.compute_weights)
-        nl = network_loads(truth, request.network_weights)
-        penalty = max(nl.values()) if nl else 0.0
-        c_pair = [sum(cl[u] for u in g) for g in (chosen, oracle)]
-        n_pair = [
-            total_group_network_load(nl, g, missing_penalty=penalty)
-            for g in (chosen, oracle)
-        ]
-        c_total, n_total = sum(c_pair), sum(n_pair)
-        totals = [
-            request.tradeoff.alpha * (c / c_total if c_total > 0 else 0.0)
-            + request.tradeoff.beta * (n / n_total if n_total > 0 else 0.0)
-            for c, n in zip(c_pair, n_pair)
-        ]
-        t_chosen, t_oracle = totals
+        scores = eq4_group_scores(
+            truth, {"chosen": chosen, "oracle": oracle}, request
+        )
+        t_chosen, t_oracle = scores["chosen"], scores["oracle"]
         if t_oracle <= 1e-12:
             ratio = 1.0 if t_chosen <= 1e-12 else float("inf")
         else:

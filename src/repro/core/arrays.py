@@ -29,21 +29,21 @@ into NumPy arrays and replays both algorithms as array operations:
   the growth arrays (:func:`select_best_fast`); only the winner is
   materialized.
 * :func:`score_candidates_fast` — Equation 4 over an arbitrary candidate
-  list via a membership matrix ``M``: compute costs ``C = M·CL`` and
-  network costs ``N = ½·diag(M·NL·Mᵀ)`` (the elastic planner's scorer).
+  list (the elastic planner's scorer), through the same kernel.
 
 Exactness contract: a slice normalizes with the reference's own
 left-to-right Python sums, in the reference's iteration order, and
 NumPy's element-wise ``α·CL + β·NL`` is bit-identical to the scalar
 expression, so the per-row lexsort reproduces the reference candidate
 *exactly* (same nodes, same process counts, same tie-breaks).
-:func:`select_best_fast` then repeats the reference's Equation-4
-arithmetic in the reference's order: builtin ``sum`` wherever the
-reference calls it (compensated since Python 3.12, so a NumPy sum may
-not stand in for it) and a sequential ``np.cumsum`` fold wherever it
-loops ``total +=``.  Every total, and so the winner under exact ties,
-is the reference's bit for bit.  :func:`score_candidates_fast` and the
-seed-pruned fleet path sum with NumPy instead and have no such contract.
+Equation 4 has one array kernel (:func:`_eq4`), which repeats the
+reference's arithmetic in the reference's order: builtin ``sum``
+wherever the reference calls it (compensated since Python 3.12, so a
+NumPy sum may not stand in for it) and a sequential ``np.cumsum`` fold
+wherever it loops ``total +=``.  Every array score — the exact path's,
+the seed-pruned fleet path's and :func:`score_candidates_fast`'s — is
+the reference's bit for bit over the same candidates, and so is the
+winner under exact ties.
 """
 
 from __future__ import annotations
@@ -491,44 +491,20 @@ def score_candidates_fast(
     candidates: Sequence[CandidateSubgraph],
     tradeoff: TradeOff,
 ) -> list[ScoredCandidate]:
-    """Vectorized Equation 4 over a candidate set (membership matrix)."""
+    """:func:`repro.core.selection.score_candidates` on arrays, bit for bit.
+
+    Each candidate's nodes (distinct, as in every group) go through the
+    kernel :func:`select_best_fast` uses.
+    """
     if not candidates:
         return []
-    c_raw, n_raw, c_norm, n_norm, totals = _score_arrays(
-        state, candidates, tradeoff
-    )
-    return [
-        ScoredCandidate(
-            candidate=cand,
-            compute_cost=float(c_raw[i]),
-            network_cost=float(n_raw[i]),
-            compute_cost_normalized=float(c_norm[i]),
-            network_cost_normalized=float(n_norm[i]),
-            total=float(totals[i]),
-        )
-        for i, cand in enumerate(candidates)
-    ]
-
-
-def _score_arrays(
-    state: LoadState,
-    candidates: Sequence[CandidateSubgraph],
-    tradeoff: TradeOff,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     index = state.index
-    members = np.zeros((len(candidates), len(state.nodes)), dtype=np.float64)
-    for i, cand in enumerate(candidates):
-        members[i, [index[n] for n in cand.nodes]] = 1.0
-    c_raw = members @ state.cl_vec
-    # ½·diag(M·NL·Mᵀ): the diagonal of NL is zero, so each row sums the
-    # group's ordered pairs exactly once in each direction.
-    n_raw = 0.5 * np.einsum("ij,ij->i", members @ state.nl_mat, members)
-    c_total = float(c_raw.sum())
-    n_total = float(n_raw.sum())
-    c_norm = c_raw / c_total if c_total > 0 else np.zeros_like(c_raw)
-    n_norm = n_raw / n_total if n_total > 0 else np.zeros_like(n_raw)
-    totals = tradeoff.alpha * c_norm + tradeoff.beta * n_norm
-    return c_raw, n_raw, c_norm, n_norm, totals
+    members = np.array(
+        [index[n] for cand in candidates for n in cand.nodes], dtype=np.intp
+    )
+    counts = np.array([len(cand.nodes) for cand in candidates], dtype=np.intp)
+    rows = _eq4(state, members, counts, tradeoff)
+    return [ScoredCandidate(cand, *row) for cand, row in zip(candidates, rows)]
 
 
 def select_best_fast(
@@ -536,12 +512,9 @@ def select_best_fast(
 ) -> ScoredCandidate:
     """Algorithm 2 / Equation 4 over grown candidates, on arrays.
 
-    Reproduces :func:`repro.core.selection.score_candidates` and
-    :func:`~repro.core.selection.select_best` bit for bit by doing the
-    reference's arithmetic in the reference's order: each compute cost
-    and both totals are builtin ``sum`` over the same floats (compensated
-    since Python 3.12, so NumPy's sums may not stand in for it), and each
-    network cost is a sequential fold (:func:`_pair_folds`).  Only the
+    Scores every row with :func:`_eq4` and picks the reference's
+    ``(total, start)`` minimum, so it reproduces
+    :func:`repro.core.selection.select_best` bit for bit.  Only the
     winner is materialized.
     """
     # Every grown candidate takes at least one process, so the reference's
@@ -549,37 +522,53 @@ def select_best_fast(
     if not len(growth.seeds):
         raise ValueError("candidate generation produced no groups")
     kept = growth.takes > 0
-    counts = kept.sum(axis=1)
-    members = growth.order[kept]  # row-major: each row's nodes in visit order
+    # row-major: each row's nodes in visit order
+    rows = _eq4(state, growth.order[kept], kept.sum(axis=1), tradeoff)
+    names = state.nodes
+    starts = [names[j] for j in growth.seeds.tolist()]
+    best = min(range(len(rows)), key=lambda i: (rows[i][-1], starts[i]))
+    pick = [best]
+    winner = Growth(growth.seeds[pick], growth.order[pick], growth.takes[pick])
+    return ScoredCandidate(_materialize(state, winner)[0], *rows[best])
+
+
+def _eq4(
+    state: LoadState,
+    members: np.ndarray,
+    counts: np.ndarray,
+    tradeoff: TradeOff,
+) -> list[tuple[float, float, float, float, float]]:
+    """Equation 4 for groups given as flat member columns.
+
+    Group ``i`` is the next ``counts[i]`` entries of ``members``.  This
+    is the reference's arithmetic in the reference's order: each compute
+    cost and both totals are builtin ``sum`` over the same floats
+    (compensated since Python 3.12, so NumPy's sums may not stand in for
+    it), each network cost is a sequential fold (:func:`_pair_folds`),
+    and the normalization and ``α·C_norm + β·N_norm`` are element-wise.
+    One ``(C, N, C_norm, N_norm, T)`` row per group, in
+    :class:`ScoredCandidate` field order.
+    """
     flat = state.cl_vec[members].tolist()
     c_raw: list[float] = []
     lo = 0
     for hi in np.cumsum(counts).tolist():
         c_raw.append(sum(flat[lo:hi]))
         lo = hi
-    # The same nodes left-aligned in a (S, max count) matrix.
+    # The same nodes left-aligned in a (groups, max count) matrix.
     padded = np.zeros((len(counts), int(counts.max())), dtype=np.intp)
     padded[np.arange(padded.shape[1])[None, :] < counts[:, None]] = members
     n_raw = _pair_folds(state.nl_mat, padded, counts)
 
     c_total = sum(c_raw)
     n_total = sum(n_raw.tolist())
-    c_vec = np.array(c_raw)
+    c_vec = np.array(c_raw, dtype=np.float64)
     c_norm = c_vec / c_total if c_total > 0 else np.zeros_like(c_vec)
     n_norm = n_raw / n_total if n_total > 0 else np.zeros_like(n_raw)
-    totals = (tradeoff.alpha * c_norm + tradeoff.beta * n_norm).tolist()
-    names = state.nodes
-    starts = [names[j] for j in growth.seeds.tolist()]
-    best = min(range(len(totals)), key=lambda i: (totals[i], starts[i]))
-    row = [best]
-    winner = Growth(growth.seeds[row], growth.order[row], growth.takes[row])
-    return ScoredCandidate(
-        candidate=_materialize(state, winner)[0],
-        compute_cost=c_raw[best],
-        network_cost=float(n_raw[best]),
-        compute_cost_normalized=float(c_norm[best]),
-        network_cost_normalized=float(n_norm[best]),
-        total=totals[best],
+    totals = tradeoff.alpha * c_norm + tradeoff.beta * n_norm
+    return list(
+        zip(c_raw, n_raw.tolist(), c_norm.tolist(), n_norm.tolist(),
+            totals.tolist())
     )
 
 
@@ -622,10 +611,11 @@ def best_candidate_fast(
 ) -> ScoredCandidate:
     """Full fast pipeline: Algorithm 1 + Algorithm 2 on one state.
 
-    When ``prune_threshold`` is set and the state has more nodes than
-    that, the seed-pruned approximate path runs instead (see
-    :func:`_best_candidate_pruned`); below the threshold the result is
-    bit-identical to the dict reference.
+    Algorithm 2 runs over every seed's candidate, bit-identical to the
+    dict reference.  When ``prune_threshold`` is set and the state has
+    more nodes than that, it runs over the ``prune_keep`` seeds that
+    :func:`_pruned_seeds` ranks best instead, and equals the reference
+    run over those seeds' candidates.
     """
     v = len(state.nodes)
     if (
@@ -633,8 +623,10 @@ def best_candidate_fast(
         and v > prune_threshold
         and 0 < prune_keep < v
     ):
-        return _best_candidate_pruned(state, n_processes, tradeoff, prune_keep)
-    growth = _grow(state, np.arange(v, dtype=np.intp), n_processes, tradeoff)
+        seeds = _pruned_seeds(state, n_processes, tradeoff, prune_keep)
+    else:
+        seeds = np.arange(v, dtype=np.intp)
+    growth = _grow(state, seeds, n_processes, tradeoff)
     return select_best_fast(state, growth, tradeoff)
 
 
@@ -643,11 +635,11 @@ def _seed_lower_bounds(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
 
     ``min_u A_v(u) = min_u (α·CL[u] + β·NL[v, u])`` over ``u ≠ v`` — a
     lower bound on what seed ``v``'s candidate pays for its first grown
-    member.  O(V²) once per (state, tradeoff), cached in the state's
-    scratch space; a state never outlives its snapshot, so the bound
-    always matches the arrays.
+    member.  O(V²) once per (state, α, β), cached in the state's scratch
+    space; a state never outlives its snapshot, so the bound always
+    matches the arrays.
     """
-    key = ("seed_first_addition", tradeoff.alpha)
+    key = ("seed_first_addition", tradeoff.alpha, tradeoff.beta)
     cached = state.scratch.get(key)
     if cached is None:
         if len(state.nodes) < 2:
@@ -663,68 +655,23 @@ def _seed_lower_bounds(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
     return cached
 
 
-def _best_candidate_pruned(
+def _pruned_seeds(
     state: LoadState, n_processes: int, tradeoff: TradeOff, keep: int
-) -> ScoredCandidate:
-    """Seed-pruned Algorithm 1 + sparse Equation 4 for fleet-scale states.
+) -> np.ndarray:
+    """The ``keep`` most promising Algorithm-1 seeds, in node order.
 
     Ranks every seed by a lower bound on its candidate's unnormalized
     Equation-4 contribution — ``α·CL[seed]`` when the seed alone covers
     the request, otherwise plus the cheapest first addition
-    (:func:`_seed_lower_bounds`) — keeps the best ``keep`` seeds, grows
-    only those K candidates (K×V intermediates instead of V×V), and
-    scores them sparsely per group instead of via a V-wide membership
-    matrix.
-
-    Two documented approximations versus the exhaustive path: Equation-4
-    normalization runs over the surviving candidate set rather than all
-    |V| candidates, and costs are NumPy (pairwise) sums rather than the
-    reference's summation order, so near-ties may rank differently.  The
-    winner is still picked by the deterministic ``(total, start)`` key.
+    (:func:`_seed_lower_bounds`) — so fleet-scale states grow K×V
+    instead of V×V intermediates.  The one approximation versus the
+    exhaustive path: Equation 4 then normalizes over the K surviving
+    candidates rather than all |V|, so the winner may differ.
     """
-    if n_processes <= 0:
-        raise ValueError(f"n_processes must be positive, got {n_processes}")
-    v = len(state.nodes)
-    if v == 0:
-        raise ValueError("candidate generation produced no groups")
     caps = np.maximum(state.pc_vec, 0)
     base = tradeoff.alpha * state.cl_vec
     bounds = np.where(
         caps >= n_processes, base, base + _seed_lower_bounds(state, tradeoff)
     )
     part = np.argpartition(bounds, keep - 1)[:keep]
-    seeds = np.sort(part).astype(np.intp)  # candidate order = node order
-    candidates = [
-        c
-        for c in _materialize(
-            state, _grow(state, seeds, n_processes, tradeoff)
-        )
-        if c.nodes
-    ]
-    if not candidates:
-        raise ValueError("candidate generation produced no groups")
-    index = state.index
-    m = len(candidates)
-    c_raw = np.empty(m, dtype=np.float64)
-    n_raw = np.empty(m, dtype=np.float64)
-    for i, cand in enumerate(candidates):
-        idx = np.fromiter(
-            (index[nm] for nm in cand.nodes),
-            dtype=np.intp, count=len(cand.nodes),
-        )
-        c_raw[i] = float(state.cl_vec[idx].sum())
-        n_raw[i] = 0.5 * float(state.nl_mat[np.ix_(idx, idx)].sum())
-    c_total = float(c_raw.sum())
-    n_total = float(n_raw.sum())
-    c_norm = c_raw / c_total if c_total > 0 else np.zeros_like(c_raw)
-    n_norm = n_raw / n_total if n_total > 0 else np.zeros_like(n_raw)
-    totals = tradeoff.alpha * c_norm + tradeoff.beta * n_norm
-    best = min(range(m), key=lambda i: (totals[i], candidates[i].start))
-    return ScoredCandidate(
-        candidate=candidates[best],
-        compute_cost=float(c_raw[best]),
-        network_cost=float(n_raw[best]),
-        compute_cost_normalized=float(c_norm[best]),
-        network_cost_normalized=float(n_norm[best]),
-        total=float(totals[best]),
-    )
+    return np.sort(part).astype(np.intp)  # candidate order = node order

@@ -58,8 +58,9 @@ class NetworkLoadAwarePolicy(AllocationPolicy):
         self.use_arrays = use_arrays
         #: above this many usable nodes the array path prunes Algorithm-1
         #: seeds by a lower bound on their Equation-4 addition cost before
-        #: the greedy grow (``None`` disables pruning entirely); at or
-        #: below it the result stays bit-identical to the dict oracle
+        #: the greedy grow (``None`` disables pruning entirely); the
+        #: result is bit-identical to the dict oracle over the same seeds
+        #: (every seed at or below the threshold)
         self.prune_threshold = prune_threshold
         #: how many seeds survive pruning
         self.prune_keep = prune_keep

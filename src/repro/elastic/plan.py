@@ -9,10 +9,11 @@ The planner reuses the PR-1 vectorized core end to end:
 * the candidate universe is the job's own nodes plus every node no other
   lease holds (``exclude=`` masks the rest, exactly like the scheduler's
   busy-node masking);
-* Algorithm 1 + 2 run once per *shape* — the original ``ppn``, a wider
-  one (shrink: fewer nodes, more ranks each) and a narrower one (expand:
-  more nodes, fewer ranks each) — so the plan space genuinely contains
-  expand / shrink / migrate, not just same-shape moves;
+* Algorithm 1 + 2 run once per *shape* (``best_candidate_fast``) — the
+  original ``ppn``, a wider one (shrink: fewer nodes, more ranks each)
+  and a narrower one (expand: more nodes, fewer ranks each) — so the
+  plan space genuinely contains expand / shrink / migrate, not just
+  same-shape moves;
 * the incumbent placement and every proposal are scored with Equation 4
   in **one** shared normalization (one ``score_candidates_fast`` call),
   so their totals are directly comparable — comparing totals from two
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
 from repro.core.arrays import (
-    generate_all_candidates_fast,
+    best_candidate_fast,
     load_state,
     score_candidates_fast,
 )
@@ -169,24 +170,14 @@ class ReconfigPlanner:
                 ppn=shaped.ppn,
                 load_key=self.load_key,
             )
+            # One winner per shape (Algorithm 2 within the shape).
             try:
-                candidates = [
-                    c
-                    for c in generate_all_candidates_fast(
-                        state, shaped.n_processes, shaped.tradeoff
-                    )
-                    if c.nodes
-                ]
+                best = best_candidate_fast(
+                    state, shaped.n_processes, shaped.tradeoff
+                )
             except ValueError:
                 continue
-            if not candidates:
-                continue
-            # One winner per shape (Algorithm 2 within the shape).
-            scored = score_candidates_fast(state, candidates, shaped.tradeoff)
-            best = min(
-                scored, key=lambda s: (s.total, s.candidate.start)
-            ).candidate
-            proposals.append(best)
+            proposals.append(best.candidate)
         if not proposals:
             return None
 

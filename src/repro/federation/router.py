@@ -541,21 +541,29 @@ class FederationRouter:
     # ------------------------------------------------------------------
     # lease lifecycle (prefix-routed)
 
-    def _owner(self, lease_id: str) -> tuple[str, BrokerService]:
+    def _forward(
+        self, lease_id: str, op: Callable[[BrokerService], dict[str, Any]]
+    ) -> dict[str, Any]:
+        """Run a single-shard lease op on the shard its id names, counting
+        an expiry the shard detects lazily (``EXPIRED_LEASE``) here too."""
         sid, sep, _ = lease_id.partition(":")
         if not sep or sid not in self._shards:
             raise ProtocolError(
                 ErrorCode.UNKNOWN_LEASE,
                 f"lease {lease_id!r} does not name a federation shard",
             )
-        return sid, self._live_service(sid)
+        try:
+            return op(self._live_service(sid))
+        except ProtocolError as exc:
+            if exc.code is ErrorCode.EXPIRED_LEASE:
+                self.metrics.expired += 1
+            raise
 
     def renew(self, params: RenewParams) -> dict[str, Any]:
         """Extend a lease — fanning out over members for cross-shard ids."""
         members = self._fed_leases.get(params.lease_id)
         if members is None:
-            _, service = self._owner(params.lease_id)
-            out = service.renew(params)
+            out = self._forward(params.lease_id, lambda s: s.renew(params))
             self.metrics.renewed += 1
             return out
         outs = []
@@ -578,8 +586,7 @@ class FederationRouter:
         """End a lease — releasing every surviving member for cross-shard."""
         members = self._fed_leases.pop(params.lease_id, None)
         if members is None:
-            _, service = self._owner(params.lease_id)
-            out = service.release(params)
+            out = self._forward(params.lease_id, lambda s: s.release(params))
             self.metrics.released += 1
             return out
         nodes: list[str] = []
@@ -607,8 +614,7 @@ class FederationRouter:
                 f"lease {params.lease_id} spans shards; cross-shard leases "
                 "cannot be reconfigured in place — release and re-allocate",
             )
-        _, service = self._owner(params.lease_id)
-        return service.reconfigure(params)
+        return self._forward(params.lease_id, lambda s: s.reconfigure(params))
 
     def sweep_expired(self) -> list[Lease]:
         """Sweep every live shard, then reap broken cross-shard leases.

@@ -17,10 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.candidate import CandidateSubgraph
 from repro.core.compute_load import compute_loads
-from repro.core.network_load import network_loads, total_group_network_load
+from repro.core.network_load import network_loads
 from repro.core.policies import PAPER_POLICIES
 from repro.core.policies.base import AllocationRequest
+from repro.core.selection import score_candidates
 from repro.monitor.snapshot import ClusterSnapshot
 
 #: §5 policy order (kept here to avoid an import cycle with runner)
@@ -34,26 +36,24 @@ def eq4_group_scores(
 ) -> dict[str, float]:
     """Eq-4 score of each named node group, normalised over all groups.
 
-    Compute and network terms are each divided by their total across
-    the given groups (the chaos checker's shared normalisation), so the
-    returned scores sum to ``alpha + beta = 1`` and a lower score means
-    a better placement *relative to the other groups*.
+    The groups are Algorithm 2's candidate set:
+    :func:`~repro.core.selection.score_candidates` divides compute and
+    network terms each by their total across the given groups (the
+    chaos checker's shared normalisation), so the returned scores sum to
+    ``alpha + beta = 1`` and a lower score means a better placement
+    *relative to the other groups*.
     """
-    cl = compute_loads(snapshot, request.compute_weights)
-    nl = network_loads(snapshot, request.network_weights)
-    penalty = max(nl.values()) if nl else 0.0
-    c = {name: sum(cl[u] for u in nodes) for name, nodes in groups.items()}
-    n = {
-        name: total_group_network_load(nl, nodes, missing_penalty=penalty)
-        for name, nodes in groups.items()
-    }
-    c_total, n_total = sum(c.values()), sum(n.values())
-    alpha, beta = request.tradeoff.alpha, request.tradeoff.beta
-    return {
-        name: alpha * (c[name] / c_total if c_total > 0 else 0.0)
-        + beta * (n[name] / n_total if n_total > 0 else 0.0)
-        for name in groups
-    }
+    # Equation 4 reads only a group's nodes; ``start`` carries its name.
+    scored = score_candidates(
+        [
+            CandidateSubgraph(start=name, nodes=tuple(nodes), procs={})
+            for name, nodes in groups.items()
+        ],
+        compute_loads(snapshot, request.compute_weights),
+        network_loads(snapshot, request.network_weights),
+        request.tradeoff,
+    )
+    return {s.candidate.start: s.total for s in scored}
 
 
 def policy_quality(

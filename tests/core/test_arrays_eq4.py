@@ -1,12 +1,14 @@
-"""Equation 4 on growth arrays: the reference's numbers, bit for bit.
+"""Equation 4 on arrays: the reference's numbers, bit for bit.
 
-``best_candidate_fast`` scores candidates without building them: compute
-costs are builtin ``sum`` in visit order, network costs a sequential
-``np.cumsum`` fold over each group's pairs in ``itertools.combinations``
-order, and pair values are gathered in blocks.  These tests pin the two
-places where a plausible vectorization would drift from the reference:
-summation order over values of mixed magnitude, and the block loop at
-a scale where one block cannot hold every pair.
+One kernel scores every array candidate: compute costs are builtin
+``sum`` in visit order, network costs a sequential ``np.cumsum`` fold
+over each group's pairs in ``itertools.combinations`` order, and pair
+values are gathered in blocks.  These tests pin the two places where a
+plausible vectorization would drift from the reference — summation
+order over values of mixed magnitude, and the block loop at a scale
+where one block cannot hold every pair — and each caller of the kernel
+against the reference: the exact path, ``score_candidates_fast`` over
+arbitrary groups, and the seed-pruned path over the seeds it keeps.
 """
 
 from __future__ import annotations
@@ -17,12 +19,20 @@ import numpy as np
 import pytest
 
 from repro.core import arrays
-from repro.core.arrays import load_state
+from repro.core.arrays import (
+    best_candidate_fast,
+    generate_all_candidates_fast,
+    load_state,
+    score_candidates_fast,
+)
+from repro.core.candidate import CandidateSubgraph, generate_candidate
 from repro.core.network_load import total_group_network_load
 from repro.core.policies import AllocationRequest, NetworkLoadAwarePolicy
+from repro.core.selection import score_candidates, select_best
 from repro.core.weights import NetworkWeights, TradeOff
 from repro.monitor.snapshot import ClusterSnapshot, NodeView
 from tests.core.test_array_equivalence import (
+    SWEEP_CONFIGS,
     assert_allocations_equal,
     random_snapshot,
 )
@@ -126,4 +136,170 @@ class TestScale:
         assert_allocations_equal(
             grant,
             NetworkLoadAwarePolicy(use_arrays=False).allocate(snap, request),
+        )
+
+
+def _ring_fleet(n_nodes: int, seed: int) -> ClusterSnapshot:
+    """A fleet whose monitor measures only ring links: each node's two
+    nearest neighbours on each side.  Nearly every pair is unmeasured."""
+    rng = np.random.default_rng(seed)
+    names = [f"f{i:04d}" for i in range(n_nodes)]
+    views = {}
+    for name in names:
+        load = float(rng.uniform(0.0, 10.0))
+        views[name] = NodeView(
+            name=name,
+            cores=12,
+            frequency_ghz=2.6,
+            memory_gb=64.0,
+            users=int(rng.integers(0, 3)),
+            cpu_load=_flat(load),
+            cpu_util=_flat(min(100.0, 8.0 * load)),
+            flow_rate_mbs=_flat(float(rng.uniform(0.0, 60.0))),
+            available_memory_gb=_flat(float(rng.uniform(8.0, 60.0))),
+        )
+    ring = {
+        tuple(sorted((names[i], names[(i + step) % n_nodes])))
+        for i in range(n_nodes)
+        for step in (1, 2)
+    }
+    pairs = sorted(ring)
+    return ClusterSnapshot(
+        time=0.0,
+        nodes=views,
+        bandwidth_mbs={k: float(125.0 * rng.uniform(0.5, 1.0)) for k in pairs},
+        latency_us={k: float(rng.uniform(40.0, 120.0)) for k in pairs},
+        peak_bandwidth_mbs={k: 125.0 for k in pairs},
+        livehosts=tuple(names),
+    )
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return _ring_fleet(1024, 0)
+
+
+def _shard_state(fleet, seed: int, *, ppn: int | None = None):
+    """One 256-node shard of the fleet with 1/8 of its nodes held."""
+    shard = list(fleet.nodes)[256:512]
+    held = set(
+        np.random.default_rng(seed).choice(shard, size=32, replace=False)
+    )
+    return load_state(
+        fleet, nodes=[n for n in shard if n not in held], ppn=ppn
+    )
+
+
+def _random_groups(rng, names, count: int) -> list[CandidateSubgraph]:
+    """``count`` groups of distinct nodes, the first of them one node."""
+    sizes = [1, *rng.integers(1, min(len(names), 40) + 1, size=count - 1)]
+    groups = [
+        tuple(names[i] for i in rng.choice(len(names), size=k, replace=False))
+        for k in sizes
+    ]
+    return [
+        CandidateSubgraph(start=g[0], nodes=g, procs=dict.fromkeys(g, 1))
+        for g in groups
+    ]
+
+
+class TestScoreCandidatesFast:
+    """The elastic planner's scorer is the reference, field for field."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "config", SWEEP_CONFIGS,
+        ids=["-".join(f"{k[:4]}{v}" for k, v in c.items()) or "plain"
+             for c in SWEEP_CONFIGS],
+    )
+    def test_random_snapshots(self, seed, config):
+        rng = np.random.default_rng(500 + seed)
+        snap = random_snapshot(rng, int(rng.integers(2, 41)), **config)
+        live = [n for n in snap.nodes if n in snap.livehosts]
+        state = load_state(snap, nodes=live, ppn=[None, 4][seed % 2])
+        tradeoff = TradeOff.from_alpha(float(rng.choice([0.1, 0.3, 0.5, 0.9])))
+        n = int(rng.integers(1, 4 * len(live) + 8))
+        candidates = generate_all_candidates_fast(state, n, tradeoff)
+        candidates += _random_groups(rng, state.nodes, 10)
+        # ScoredCandidate equality: the candidate and every Eq-4 field
+        assert score_candidates_fast(
+            state, candidates, tradeoff
+        ) == score_candidates(candidates, state.cl, state.nl, tradeoff)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_fleet_slice(self, fleet, alpha):
+        rng = np.random.default_rng(int(10 * alpha))
+        state = _shard_state(fleet, 1)
+        tradeoff = TradeOff.from_alpha(alpha)
+        grown = generate_all_candidates_fast(state, 128, tradeoff)
+        picks = rng.choice(len(grown), size=20, replace=False)
+        candidates = [grown[i] for i in picks]
+        candidates += _random_groups(rng, state.nodes, 10)
+        # most pairs of a fleet group are unmeasured, so they carry the
+        # missing-pair penalty
+        group = candidates[-1].nodes
+        assert any(
+            (a, b) not in state.nl
+            for a, b in itertools.combinations(sorted(group), 2)
+        )
+        # ScoredCandidate equality: the candidate and every Eq-4 field
+        assert score_candidates_fast(
+            state, candidates, tradeoff
+        ) == score_candidates(candidates, state.cl, state.nl, tradeoff)
+
+
+class TestPrunedPath:
+    """Above the prune threshold, Algorithm 2 runs exactly over the kept
+    seeds: the reference run on those seeds' candidates agrees bit for
+    bit, winner and every Equation-4 field."""
+
+    @pytest.mark.parametrize(
+        "n, alpha, ppn",
+        [
+            (16, 0.1, None),
+            (64, 0.3, None),
+            (128, 0.5, None),
+            (700, 0.9, None),
+            (64, 0.5, 4),
+            # oversubscribed: every candidate holds every usable node
+            (4 * 224 + 7, 0.3, 4),
+        ],
+    )
+    def test_winner_is_the_reference_over_kept_seeds(
+        self, fleet, n, alpha, ppn
+    ):
+        state = _shard_state(fleet, n, ppn=ppn)
+        tradeoff = TradeOff.from_alpha(alpha)
+        keep = arrays.PRUNE_KEEP_DEFAULT
+        seeds = arrays._pruned_seeds(state, n, tradeoff, keep)
+        assert len(seeds) == keep
+        names = state.nodes
+        reference = select_best(
+            [
+                generate_candidate(
+                    names[s], names, state.cl, state.nl, state.pc, n, tradeoff
+                )
+                for s in seeds.tolist()
+            ],
+            state.cl,
+            state.nl,
+            tradeoff,
+        )
+        pruned = best_candidate_fast(
+            state, n, tradeoff, prune_threshold=128, prune_keep=keep
+        )
+        assert pruned == reference
+
+
+def test_seed_bounds_are_memoized_per_alpha_and_beta():
+    """Two trade-offs with one α and βs 5e-7 apart (both valid) get
+    their own first-addition bounds."""
+    snap = random_snapshot(np.random.default_rng(8), 12, missing_fraction=0.3)
+    state = load_state(snap, nodes=list(snap.nodes))
+    for beta in (0.7, 0.7000005):
+        tradeoff = TradeOff(0.3, beta)
+        costs = tradeoff.alpha * state.cl_vec[None, :] + beta * state.nl_mat
+        np.fill_diagonal(costs, np.inf)
+        assert np.array_equal(
+            arrays._seed_lower_bounds(state, tradeoff), costs.min(axis=1)
         )

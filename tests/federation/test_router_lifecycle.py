@@ -30,6 +30,17 @@ def allocate(router, **kwargs):
     return out
 
 
+def clocked_federation(now: list[float]):
+    """A 2-shard federation whose clock reads ``now[0]``."""
+    snap = small_scenario(8, seed=1).snapshot()
+    return build_federation(
+        lambda: snap,
+        subtree_partition(snapshot_switches(snap), 2),
+        clock=lambda: now[0],
+        default_ttl_s=TTL,
+    )
+
+
 def active_leases(router) -> int:
     return sum(
         len(router.shard(sid).service.leases.active())
@@ -235,15 +246,8 @@ class TestStatusCounters:
     def test_router_metrics_count_single_shard_lease_ops(self):
         """Single-shard renew, release and swept expiry reach the router's
         ``metrics`` exactly as the owning shard counts them."""
-        sc = small_scenario(8, seed=1)
-        snap = sc.snapshot()
         now = [0.0]
-        router = build_federation(
-            lambda: snap,
-            subtree_partition(snapshot_switches(snap), 2),
-            clock=lambda: now[0],
-            default_ttl_s=TTL,
-        )
+        router = clocked_federation(now)
         grant = allocate(router, n_processes=2)
         router.renew(RenewParams(lease_id=grant["lease_id"]))
         router.release(ReleaseParams(lease_id=grant["lease_id"]))
@@ -257,3 +261,32 @@ class TestStatusCounters:
                 for sid in router.shard_ids
             )
             assert routed[key] == shards == 1, key
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda router, lease: router.renew(RenewParams(lease_id=lease)),
+            lambda router, lease: router.release(ReleaseParams(lease_id=lease)),
+            lambda router, lease: router.reconfigure(
+                ReconfigureParams(lease_id=lease, remaining_s=TTL)
+            ),
+        ],
+        ids=["renew", "release", "reconfigure"],
+    )
+    def test_router_counts_expiries_found_by_routed_ops(self, op):
+        """A routed op that finds its lease expired before any sweep
+        counts the expiry in the router's ``metrics`` as the shard does."""
+        now = [0.0]
+        router = clocked_federation(now)
+        grant = allocate(router, n_processes=2, ttl_s=60.0)
+        now[0] = 120.0
+        with pytest.raises(ProtocolError) as err:
+            op(router, grant["lease_id"])
+        assert err.value.code == ErrorCode.EXPIRED_LEASE
+        shards = sum(
+            router.shard(sid).service.metrics.snapshot()["expired"]
+            for sid in router.shard_ids
+        )
+        assert router.status()["metrics"]["expired"] == shards == 1
+        assert router.sweep_expired() == []
+        assert router.status()["metrics"]["expired"] == 1

@@ -45,7 +45,11 @@ from repro.broker.protocol import (
     StatusParams,
 )
 from repro.elastic.cost import MigrationCostConfig, SnapshotMigrationCost
-from repro.elastic.executor import ReconfigError, TwoPhaseExecutor
+from repro.elastic.executor import (
+    ReconfigError,
+    TwoPhaseExecutor,
+    release_quietly,
+)
 from repro.elastic.gate import GateConfig, PlanGate
 from repro.elastic.plan import ReconfigPlan, ReconfigPlanner
 from repro.core.broker import ResourceBroker, WaitRecommended
@@ -594,7 +598,7 @@ class BrokerService:
                 f"lease {params.lease_id!r} is not active",
             )
         if lease.expired(now):
-            self.leases.sweep()
+            release_quietly(self.leases, lease)
             self.metrics.expired += 1
             raise ProtocolError(
                 ErrorCode.EXPIRED_LEASE,

@@ -129,6 +129,7 @@ class SwitchTopology:
         }
         self._path_cache: dict[tuple[str, str], tuple[str, ...]] = {}
         self._switch_path_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._links_cache: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -237,11 +238,22 @@ class SwitchTopology:
         return cached[::-1]
 
     def links_on_path(self, u: str, v: str) -> tuple[tuple[str, str], ...]:
-        """Canonically-ordered link endpoints along the u-v path."""
-        p = self.path(u, v)
-        return tuple(
-            (a, b) if a <= b else (b, a) for a, b in zip(p[:-1], p[1:])
-        )
+        """Canonically-ordered link endpoints along the u-v path.
+
+        Cached like :meth:`path`: a topology gains no link after
+        ``__init__``, so a route never changes.
+        """
+        key = (u, v) if u <= v else (v, u)
+        cached = self._links_cache.get(key)
+        if cached is None:
+            p = self.path(*key)
+            cached = tuple(
+                (a, b) if a <= b else (b, a) for a, b in zip(p[:-1], p[1:])
+            )
+            self._links_cache[key] = cached
+        if (u, v) == key:
+            return cached
+        return cached[::-1]
 
     def hops(self, u: str, v: str) -> int:
         """Number of network links between two nodes (0 if ``u == v``)."""

@@ -567,13 +567,9 @@ class FederationRouter:
             self.metrics.renewed += 1
             return out
         outs = []
-        for sid, member_id in members:
-            service = self._live_service(sid)
-            outs.append(
-                service.renew(
-                    RenewParams(lease_id=member_id, ttl_s=params.ttl_s)
-                )
-            )
+        for _, member_id in members:
+            renew = RenewParams(lease_id=member_id, ttl_s=params.ttl_s)
+            outs.append(self._forward(member_id, lambda s: s.renew(renew)))
         self.metrics.renewed += 1
         return {
             "lease_id": params.lease_id,
@@ -591,11 +587,11 @@ class FederationRouter:
             return out
         nodes: list[str] = []
         for sid, member_id in members:
-            shard = self._shards[sid]
-            if not shard.alive:
+            if not self._shards[sid].alive:
                 continue
+            release = ReleaseParams(lease_id=member_id)
             try:
-                out = shard.service.release(ReleaseParams(lease_id=member_id))
+                out = self._forward(member_id, lambda s: s.release(release))
                 nodes.extend(out["nodes"])
             except ProtocolError:
                 pass  # member already expired/swept — freed either way

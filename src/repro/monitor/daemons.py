@@ -16,7 +16,6 @@ from repro.cluster.cluster import Cluster
 from repro.des.engine import Engine
 from repro.monitor.rolling import DEFAULT_WINDOWS, RollingWindows
 from repro.monitor.store import SharedStore
-from repro.util.units import MINUTES
 from repro.util.validation import require_positive
 
 HEARTBEAT_PREFIX = "heartbeat/"
@@ -176,12 +175,8 @@ class NodeStateD(Daemon):
         for attr, v in values.items():
             win = self._windows[attr]
             win.add(now, v)
-            record[attr] = {
-                "now": v,
-                "m1": win.mean(1 * MINUTES, now),
-                "m5": win.mean(5 * MINUTES, now),
-                "m15": win.mean(15 * MINUTES, now),
-            }
+            m1, m5, m15 = win.means(now).values()
+            record[attr] = {"now": v, "m1": m1, "m5": m5, "m15": m15}
         self.store.put(f"nodestate/{self.node}", record, now)
 
 

@@ -115,6 +115,20 @@ def _static_changed(old: NodeView, new: NodeView) -> bool:
     )
 
 
+def _moved_pairs(
+    old: Mapping[PairKey, float], new: Mapping[PairKey, float]
+) -> dict[PairKey, float]:
+    """The pairs of ``new`` whose value moved from ``old`` (same keys)."""
+    if old is new:
+        return {}
+    out = {}
+    for k, v in old.items():
+        fresh = new[k]
+        if fresh is not v and _moved(float(v), float(fresh)):
+            out[k] = fresh
+    return out
+
+
 def compute_delta(old: ClusterSnapshot, new: ClusterSnapshot) -> SnapshotDelta | None:
     """Diff two snapshots into a :class:`SnapshotDelta`.
 
@@ -124,37 +138,36 @@ def compute_delta(old: ClusterSnapshot, new: ClusterSnapshot) -> SnapshotDelta |
     (incremental patching assumes fixed topology and index order).
     Otherwise every node view and link measurement that changed at all
     is in the delta.
+
+    Snapshots are immutable, so a map, node view or pair value that is
+    the same object on both sides has not moved and is not compared:
+    a producer that hands over what it did not touch pays only for what
+    it did.
     """
-    if set(old.nodes) != set(new.nodes):
-        return None
     if old.livehosts != new.livehosts:
         return None
-    for attr in ("bandwidth_mbs", "latency_us", "peak_bandwidth_mbs"):
-        if set(getattr(old, attr)) != set(getattr(new, attr)):
+    for attr in ("nodes", "bandwidth_mbs", "latency_us", "peak_bandwidth_mbs"):
+        a, b = getattr(old, attr), getattr(new, attr)
+        if a is not b and a.keys() != b.keys():
             return None
-    if any(
+    if old.peak_bandwidth_mbs is not new.peak_bandwidth_mbs and any(
         old.peak_bandwidth_mbs[k] != new.peak_bandwidth_mbs[k]
         for k in old.peak_bandwidth_mbs
     ):
         return None  # peak bandwidth is static knowledge; a change is structural
 
     nodes: dict[str, NodeView] = {}
-    for name, view in old.nodes.items():
-        fresh = new.nodes[name]
-        if _static_changed(view, fresh):
-            return None
-        if _node_changed(view, fresh):
-            nodes[name] = fresh
-    bandwidth = {
-        k: new.bandwidth_mbs[k]
-        for k, v in old.bandwidth_mbs.items()
-        if _moved(float(v), float(new.bandwidth_mbs[k]))
-    }
-    latency = {
-        k: new.latency_us[k]
-        for k, v in old.latency_us.items()
-        if _moved(float(v), float(new.latency_us[k]))
-    }
+    if old.nodes is not new.nodes:
+        for name, view in old.nodes.items():
+            fresh = new.nodes[name]
+            if fresh is view:
+                continue
+            if _static_changed(view, fresh):
+                return None
+            if _node_changed(view, fresh):
+                nodes[name] = fresh
+    bandwidth = _moved_pairs(old.bandwidth_mbs, new.bandwidth_mbs)
+    latency = _moved_pairs(old.latency_us, new.latency_us)
     return SnapshotDelta(
         time=new.time,
         nodes=nodes,
@@ -201,13 +214,19 @@ def snapshot_step_delta(
     return delta
 
 
+def _patched(old: Mapping, changes: Mapping) -> Mapping:
+    """``old`` with ``changes`` applied; ``old`` itself if there are none."""
+    return {**old, **changes} if changes else old
+
+
 def apply_snapshot_delta(
     old: ClusterSnapshot, delta: SnapshotDelta
 ) -> ClusterSnapshot:
     """Patch ``old`` into a new snapshot that carries ``old``'s store.
 
     The returned snapshot is a fresh immutable object whose maps share
-    unchanged entries with ``old``.  When ``old`` has an
+    unchanged entries with ``old``; a map the delta has no entries for
+    is ``old``'s map itself.  When ``old`` has an
     :class:`~repro.core.arrays.ArrayStore`, it is patched once,
     copy-on-write, in O(changed nodes + measured links) and installed on
     the new snapshot.  Per-request slices (``LoadState``) stay behind
@@ -216,9 +235,9 @@ def apply_snapshot_delta(
     """
     patched = ClusterSnapshot(
         time=delta.time,
-        nodes={**old.nodes, **delta.nodes},
-        bandwidth_mbs={**old.bandwidth_mbs, **delta.bandwidth_mbs},
-        latency_us={**old.latency_us, **delta.latency_us},
+        nodes=_patched(old.nodes, delta.nodes),
+        bandwidth_mbs=_patched(old.bandwidth_mbs, delta.bandwidth_mbs),
+        latency_us=_patched(old.latency_us, delta.latency_us),
         peak_bandwidth_mbs=old.peak_bandwidth_mbs,
         livehosts=old.livehosts,
     )

@@ -96,11 +96,10 @@ class DriftTracker:
         win = self._windows.get(key)
         if win is None:
             return None
-        short = win.mean(self.short_s, now)
-        long = win.mean(self.long_s, now)
+        short, long = win.means(now).values()
         if short is None or long is None:
             return None
-        n_short = self._short_count(win, now)
+        n_short = win.count(self.short_s, now)
         if n_short < self.min_samples:
             return None
         delta = short - long
@@ -119,12 +118,3 @@ class DriftTracker:
     def keys(self) -> list[str]:
         """All signals with any recorded history."""
         return list(self._windows)
-
-    def _short_count(self, win: RollingWindows, now: float | None) -> int:
-        if len(win) == 0:
-            return 0
-        newest = win.latest
-        assert newest is not None
-        samples = win._samples  # same-package access, sized O(long window)
-        cutoff = (samples[-1][0] if now is None else now) - self.short_s
-        return sum(1 for t, _ in samples if t >= cutoff)

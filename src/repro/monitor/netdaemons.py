@@ -80,11 +80,8 @@ class LatencyD(Daemon):
                         (1 * MINUTES, 5 * MINUTES)
                     )
                 win.add(now, lat)
-                stats = {
-                    "now": lat,
-                    "m1": win.mean(1 * MINUTES, now),
-                    "m5": win.mean(5 * MINUTES, now),
-                }
+                m1, m5 = win.means(now).values()
+                stats = {"now": lat, "m1": m1, "m5": m5}
                 records[a][b] = stats
                 records[b][a] = stats
         for n in nodes:

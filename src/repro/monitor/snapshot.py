@@ -58,7 +58,13 @@ class NodeView:
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    """Everything the allocator may consult when placing a job."""
+    """Everything the allocator may consult when placing a job.
+
+    Snapshots are immutable, and so are their maps and node views: one
+    map or view may be shared by many snapshots (every build of one node
+    set shares its peak map, and a patched snapshot shares what did not
+    move with its predecessor), so nothing may write one in place.
+    """
 
     time: float
     nodes: Mapping[str, NodeView]
@@ -197,7 +203,8 @@ def build_snapshot(
     it has no data for.  Corrupt or out-of-range records are *skipped and
     logged* the same way (see :func:`_validated_view`), and pairs lacking
     probe data are omitted likewise; policies treat missing network data
-    conservatively.
+    conservatively.  Peak bandwidth is static: every snapshot of one node
+    set shares one map (:meth:`NetworkModel.peak_bandwidth_map`).
     """
     live = _read(store, "livehosts")
     if isinstance(live, (list, tuple)) and all(
@@ -224,7 +231,6 @@ def build_snapshot(
 
     bandwidth: dict[tuple[str, str], float] = {}
     latency: dict[tuple[str, str], float] = {}
-    peak: dict[tuple[str, str], float] = {}
     names = list(views)
     for i, a in enumerate(names):
         bw_rec = _read(store, f"bandwidth/{a}") or {}
@@ -252,14 +258,13 @@ def build_snapshot(
                     latency[key] = _bounded(raw, 0.0, _MAX_DYNAMIC, "latency")
                 except (KeyError, TypeError, ValueError) as exc:
                     log.warning("skipping latency pair %s: %s", key, exc)
-            peak[key] = network.peak_bandwidth(a, b)
 
     return ClusterSnapshot(
         time=now,
         nodes=views,
         bandwidth_mbs=bandwidth,
         latency_us=latency,
-        peak_bandwidth_mbs=peak,
+        peak_bandwidth_mbs=network.peak_bandwidth_map(names),
         livehosts=livehosts,
     )
 

@@ -60,6 +60,10 @@ class NetworkModel:
         self._latency = LatencyModel(topology, latency_config)
         self._rates: dict[int, float] | None = None
         self._util: dict[tuple[str, str], float] | None = None
+        #: the latest node set's canonical peak map, with that node set
+        self._peak_map: tuple[tuple[str, ...], dict[tuple[str, str], float]] = (
+            (), {}
+        )
         #: optional callable node -> CPU load per core, used by the
         #: latency model's endpoint term (wired by the workload layer)
         self._node_load_provider: Callable[[str], float] | None = None
@@ -209,6 +213,26 @@ class NetworkModel:
             self._topo.link_capacity(*link)
             for link in self._topo.links_on_path(u, v)
         )
+
+    def peak_bandwidth_map(
+        self, nodes: Sequence[str]
+    ) -> dict[tuple[str, str], float]:
+        """Peak bandwidth of every pair of ``nodes``, canonically keyed.
+
+        Pairs are inserted in ``nodes`` order.  The map of the latest
+        node set is kept and returned to every caller asking for the
+        same set, so snapshots of one node set share one map; it must
+        never be written to.  Only one map is kept, so a node set that
+        keeps changing (nodes going down and up) cannot grow the cache.
+        """
+        key = tuple(nodes)
+        if self._peak_map[0] != key:
+            peak: dict[tuple[str, str], float] = {}
+            for i, a in enumerate(key):
+                for b in key[i + 1 :]:
+                    peak[(a, b) if a <= b else (b, a)] = self.peak_bandwidth(a, b)
+            self._peak_map = (key, peak)
+        return self._peak_map[1]
 
     def latency_us(self, u: str, v: str, *, rng=None) -> float:
         """One-way latency in microseconds under current utilization."""

@@ -125,6 +125,24 @@ class TestServiceReconfigure:
         assert err.value.code.value == "EXPIRED_LEASE"
         assert service.leases.held_nodes() == frozenset()
 
+    def test_expired_lease_reclaims_only_itself(self, service, clock):
+        """An expired reconfigure reclaims and counts its own lease, as
+        renew and release do; the sweeper reclaims and counts the rest,
+        so ``expired`` counts every reclaimed lease once."""
+        first = allocate(service, n=4)
+        second = allocate(service, n=4)
+        clock.advance(7200.0)  # both past the 3600s TTL
+        with pytest.raises(ProtocolError) as err:
+            service.reconfigure(ReconfigureParams(lease_id=first["lease_id"]))
+        assert err.value.code.value == "EXPIRED_LEASE"
+        assert [l.lease_id for l in service.leases.active()] == [
+            second["lease_id"]
+        ]
+        assert service.metrics.expired == 1
+        swept = service.sweep_expired()
+        assert [l.lease_id for l in swept] == [second["lease_id"]]
+        assert service.metrics.expired == 2
+
     def test_metrics_count_both_outcomes(self, service, world, clock):
         grant = allocate(service)
         service.reconfigure(  # stay-put

@@ -15,6 +15,7 @@ from repro.broker.protocol import (
 )
 from repro.experiments.scenario import small_scenario
 from repro.federation import (
+    CROSS_SHARD_PREFIX,
     build_federation,
     snapshot_switches,
     subtree_partition,
@@ -38,6 +39,14 @@ def clocked_federation(now: list[float]):
         subtree_partition(snapshot_switches(snap), 2),
         clock=lambda: now[0],
         default_ttl_s=TTL,
+    )
+
+
+def shard_expired(router) -> int:
+    """The ``expired`` counts of every shard, summed."""
+    return sum(
+        router.shard(sid).service.metrics.snapshot()["expired"]
+        for sid in router.shard_ids
     )
 
 
@@ -290,3 +299,60 @@ class TestStatusCounters:
         assert router.status()["metrics"]["expired"] == shards == 1
         assert router.sweep_expired() == []
         assert router.status()["metrics"]["expired"] == 1
+
+    def test_router_counts_member_expiry_found_by_cross_shard_renew(self):
+        """A cross-shard renew whose first member finds its lease expired
+        counts that expiry in the router as the member's shard does, and
+        the sweep that reaps the rest keeps the two counts equal."""
+        now = [0.0]
+        router = clocked_federation(now)
+        grant = allocate(router, n_processes=cross_shard_n(router), ttl_s=60.0)
+        assert grant["lease_id"].startswith(f"{CROSS_SHARD_PREFIX}:")
+        now[0] = 120.0
+        with pytest.raises(ProtocolError) as err:
+            router.renew(RenewParams(lease_id=grant["lease_id"]))
+        assert err.value.code == ErrorCode.EXPIRED_LEASE
+        assert router.status()["metrics"]["expired"] == shard_expired(router) == 1
+        router.sweep_expired()
+        assert router.status()["metrics"]["expired"] == shard_expired(router) == 2
+
+    def test_router_counts_member_expiries_found_by_cross_shard_release(self):
+        """A cross-shard release counts each member its shard finds
+        expired in the router too; the evicted members leave the sweep
+        nothing to make up."""
+        now = [0.0]
+        router = clocked_federation(now)
+        grant = allocate(router, n_processes=cross_shard_n(router), ttl_s=60.0)
+        members = len(grant["shards"])
+        assert members >= 2
+        now[0] = 120.0
+        out = router.release(ReleaseParams(lease_id=grant["lease_id"]))
+        assert out["released"] is True
+        assert router.status()["metrics"]["expired"] == shard_expired(router)
+        assert shard_expired(router) == members
+        assert router.sweep_expired() == []
+        assert router.status()["metrics"]["expired"] == shard_expired(router)
+
+    def test_expired_reconfigure_leaves_its_shard_mates_to_the_sweep(self):
+        """Reconfiguring one of two expired leases on a shard reclaims
+        only that lease, so the router's count (one per expired reply)
+        equals the shards' sum before and after the sweep reaps the
+        other."""
+        now = [0.0]
+        router = clocked_federation(now)
+        by_shard: dict[str, list[str]] = {}
+        while not any(len(ids) == 2 for ids in by_shard.values()):
+            lease_id = allocate(router, n_processes=2, ttl_s=60.0)["lease_id"]
+            by_shard.setdefault(lease_id.partition(":")[0], []).append(lease_id)
+        first, second = next(ids for ids in by_shard.values() if len(ids) == 2)
+        now[0] = 120.0
+        with pytest.raises(ProtocolError) as err:
+            router.reconfigure(
+                ReconfigureParams(lease_id=first, remaining_s=TTL)
+            )
+        assert err.value.code == ErrorCode.EXPIRED_LEASE
+        assert router.status()["metrics"]["expired"] == shard_expired(router) == 1
+        reclaimed = {lease.lease_id for lease in router.sweep_expired()}
+        assert second in reclaimed and first not in reclaimed
+        assert router.status()["metrics"]["expired"] == shard_expired(router)
+        assert shard_expired(router) == 1 + len(reclaimed)

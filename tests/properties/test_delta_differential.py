@@ -14,11 +14,17 @@ Edges covered explicitly: the empty delta (the served snapshot, and so
 its state object, is kept), the everything-changed delta (every node and
 every measured link moves), and structural changes (which must refuse to
 produce a delta at all).
+
+``compute_delta`` skips a map, node view or pair value that is the same
+object on both sides.  Its full comparisons are the oracle for that
+short-cut: a diff of snapshots that share objects must equal the diff of
+:func:`unshared_copy` copies of them, which share nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -88,6 +94,22 @@ def _fresh_copy(snap: ClusterSnapshot) -> ClusterSnapshot:
         latency_us=dict(snap.latency_us),
         peak_bandwidth_mbs=dict(snap.peak_bandwidth_mbs),
         livehosts=snap.livehosts,
+    )
+
+
+def unshared_copy(snap: ClusterSnapshot) -> ClusterSnapshot:
+    """An equal snapshot that shares no map, view or value with ``snap``.
+
+    A pickle round trip rebuilds every object, floats included (pickle
+    does not memoize floats), so no identity short-cut can apply.
+    """
+    return ClusterSnapshot(
+        time=snap.time,
+        livehosts=snap.livehosts,
+        **{
+            attr: pickle.loads(pickle.dumps(getattr(snap, attr)))
+            for attr in ("nodes", "bandwidth_mbs", "latency_us", "peak_bandwidth_mbs")
+        },
     )
 
 
@@ -187,6 +209,97 @@ class TestDeltaEqualsRebuild:
             snap = apply_snapshot_delta(snap, delta)
             serial, gen = snapshot_lineage(snap)
             assert gen == expected_gen
+
+
+def _rebox(rng: np.random.Generator, snap: ClusterSnapshot) -> ClusterSnapshot:
+    """``snap`` with some views and pair values replaced by equal copies.
+
+    An equal value in a new object must be compared, not skipped, and
+    must not count as moved.
+    """
+    nodes = {
+        name: dataclasses.replace(view) if rng.uniform() < 0.3 else view
+        for name, view in snap.nodes.items()
+    }
+    bandwidth = {
+        k: float(np.float64(v)) if rng.uniform() < 0.3 else v
+        for k, v in snap.bandwidth_mbs.items()
+    }
+    return dataclasses.replace(snap, nodes=nodes, bandwidth_mbs=bandwidth)
+
+
+def _assert_same_delta(got: SnapshotDelta | None, want: SnapshotDelta | None) -> None:
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.time == want.time
+    for attr in ("nodes", "bandwidth_mbs", "latency_us"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert list(a) == list(b), attr
+        assert a == b, attr
+
+
+class TestSharedObjectsShortCut:
+    """A diff of snapshots that share objects equals the diff of copies."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mix", DRIFT_MIXES, ids=lambda m: f"n{m[0]}l{m[1]}")
+    def test_shared_diff_equals_unshared_diff(self, seed, mix):
+        node_fraction, link_fraction = mix
+        rng = np.random.default_rng(43_000 + seed)
+        snap = random_snapshot(rng, int(rng.integers(6, 14)), missing_fraction=0.2)
+        for _ in range(4):
+            # ``perturb`` shares every unchanged view, float and the
+            # peak map with ``snap``; ``_rebox`` un-shares some equal ones
+            target = _rebox(rng, perturb(
+                rng, snap, node_fraction=node_fraction, link_fraction=link_fraction
+            ))
+            delta = compute_delta(snap, target)
+            _assert_same_delta(
+                delta, compute_delta(unshared_copy(snap), unshared_copy(target))
+            )
+            patched = apply_snapshot_delta(snap, delta)
+            # the patch equals the target, and shares with ``snap``
+            # exactly the maps the delta left alone
+            for attr in ("nodes", "bandwidth_mbs", "latency_us"):
+                assert getattr(patched, attr) == getattr(target, attr)
+                kept = getattr(patched, attr) is getattr(snap, attr)
+                assert kept == (not getattr(delta, attr)), attr
+            assert patched.peak_bandwidth_mbs is snap.peak_bandwidth_mbs
+            snap = patched
+
+    def test_identical_snapshot_diffs_empty(self):
+        rng = np.random.default_rng(14)
+        snap = random_snapshot(rng, 8)
+        delta = compute_delta(snap, snap)
+        assert delta is not None and delta.is_empty
+
+    @pytest.mark.parametrize("shared", ["nodes", "bandwidth_mbs", "latency_us"])
+    def test_structural_change_beside_a_shared_map(self, shared):
+        rng = np.random.default_rng(15)
+        snap = random_snapshot(rng, 6)
+        latency = dict(snap.latency_us)
+        latency.pop(next(iter(latency)))
+        nodes = dict(snap.nodes)
+        nodes.pop(next(iter(nodes)))
+        changes = {"nodes": nodes, "latency_us": latency}
+        changes.pop(shared, None)
+        for attr, value in changes.items():
+            lost = dataclasses.replace(snap, **{attr: value})
+            assert getattr(lost, shared) is getattr(snap, shared)
+            assert compute_delta(snap, lost) is None
+            assert compute_delta(unshared_copy(snap), unshared_copy(lost)) is None
+
+    def test_unshared_copy_shares_nothing(self):
+        rng = np.random.default_rng(16)
+        snap = random_snapshot(rng, 6)
+        twin = unshared_copy(snap)
+        assert twin == snap
+        for attr in ("nodes", "bandwidth_mbs", "latency_us", "peak_bandwidth_mbs"):
+            a, b = getattr(snap, attr), getattr(twin, attr)
+            assert a is not b
+            assert all(a[k] is not b[k] for k in a)
 
 
 class TestStructuralChangesRefuse:

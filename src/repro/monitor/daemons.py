@@ -147,9 +147,8 @@ class NodeStateD(Daemon):
             jitter_rng=jitter_rng,
         )
         self.node = node
-        self._windows: dict[str, RollingWindows] = {
-            attr: RollingWindows(DEFAULT_WINDOWS) for attr in self.DYNAMIC
-        }
+        #: one column per attribute in ``DYNAMIC``: a tick is one row
+        self._window = RollingWindows(DEFAULT_WINDOWS, width=len(self.DYNAMIC))
 
     def sample(self) -> None:
         cluster = self._cluster
@@ -157,12 +156,12 @@ class NodeStateD(Daemon):
         spec = cluster.spec(self.node)
         state = cluster.state(self.node)
         now = self.engine.now
-        values = {
-            "cpu_load": state.cpu_load,
-            "cpu_util": state.cpu_util,
-            "flow_rate_mbs": state.flow_rate_mbs,
-            "available_memory_gb": max(spec.memory_gb - state.memory_used_gb, 0.0),
-        }
+        values = (
+            state.cpu_load,
+            state.cpu_util,
+            state.flow_rate_mbs,
+            max(spec.memory_gb - state.memory_used_gb, 0.0),
+        )
         record: dict = {
             "static": {
                 "cores": spec.cores,
@@ -172,10 +171,11 @@ class NodeStateD(Daemon):
             },
             "users": state.users,
         }
-        for attr, v in values.items():
-            win = self._windows[attr]
-            win.add(now, v)
-            m1, m5, m15 = win.means(now).values()
+        self._window.add(now, values)
+        # this row is in every window, so no count is 0
+        sums, counts = self._window.fold(now)
+        means = (sums / counts).T.tolist()
+        for attr, v, (m1, m5, m15) in zip(self.DYNAMIC, values, means):
             record[attr] = {"now": v, "m1": m1, "m5": m5, "m15": m15}
         self.store.put(f"nodestate/{self.node}", record, now)
 

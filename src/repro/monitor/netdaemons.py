@@ -16,6 +16,8 @@ other nodes".
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from repro.cluster.cluster import Cluster
@@ -41,11 +43,20 @@ def _live_nodes(store: SharedStore, cluster: Cluster) -> list[str]:
         return list(cluster.names)
     if live is None or not isinstance(live, (list, tuple)):
         return list(cluster.names)
-    return [n for n in live if isinstance(n, str) and n in cluster]
+    # a repeated name would make the probe schedule raise: keep the first
+    return list(
+        dict.fromkeys(n for n in live if isinstance(n, str) and n in cluster)
+    )
 
 
 class LatencyD(Daemon):
-    """Sweeps all live-pair latencies every ``period_s`` (1 min paper)."""
+    """Sweeps all live-pair latencies every ``period_s`` (1 min paper).
+
+    Its 1- and 5-minute means live in one window with a column per
+    cluster pair: a sweep adds one row with the pairs it measured, so a
+    pair that skipped sweeps (a node was down) averages only its own
+    samples.
+    """
 
     def __init__(
         self,
@@ -64,26 +75,31 @@ class LatencyD(Daemon):
         self._cluster = cluster
         self._network = network
         self._rng = rng
-        self._windows: dict[tuple[str, str], RollingWindows] = {}
+        #: canonical pair -> its column; ``_live_nodes`` returns only
+        #: cluster members, so every measured pair has one
+        self._columns: dict[tuple[str, str], int] = {
+            (a, b) if a <= b else (b, a): i
+            for i, (a, b) in enumerate(combinations(cluster.names, 2))
+        }
+        self._window = RollingWindows(
+            (1 * MINUTES, 5 * MINUTES), width=max(len(self._columns), 1)
+        )
 
     def sample(self) -> None:
         nodes = _live_nodes(self.store, self._cluster)
         now = self.engine.now
+        pairs = [p for rnd in round_robin_rounds(nodes) for p in rnd]
+        lat = self._network.latencies_us(pairs, rng=self._rng)
+        columns = [self._columns[p] for p in pairs]
+        self._window.add(now, lat, columns)
+        # every measured pair has this row, so no count is 0
+        sums, counts = self._window.fold(now)
+        m1s, m5s = (sums[:, columns] / counts[:, columns]).tolist()
         records: dict[str, dict[str, dict]] = {n: {} for n in nodes}
-        for rnd in round_robin_rounds(nodes):
-            for a, b in rnd:
-                lat = self._network.latency_us(a, b, rng=self._rng)
-                key = (a, b)
-                win = self._windows.get(key)
-                if win is None:
-                    win = self._windows[key] = RollingWindows(
-                        (1 * MINUTES, 5 * MINUTES)
-                    )
-                win.add(now, lat)
-                m1, m5 = win.means(now).values()
-                stats = {"now": lat, "m1": m1, "m5": m5}
-                records[a][b] = stats
-                records[b][a] = stats
+        for (a, b), lat_ab, m1, m5 in zip(pairs, lat.tolist(), m1s, m5s):
+            stats = {"now": lat_ab, "m1": m1, "m5": m5}
+            records[a][b] = stats
+            records[b][a] = stats
         for n in nodes:
             self.store.put(f"latency/{n}", records[n], now)
 

@@ -319,9 +319,7 @@ def oracle_snapshot(
     pairs = [p for rnd in round_robin_rounds(up) for p in rnd]
     bw = network.bulk_available_bandwidth(pairs)
     bandwidth = {k: float(v) for k, v in bw.items()}
-    latency = {
-        (a, b): network.latency_us(a, b, rng=rng) for a, b in pairs
-    }
+    latency = dict(zip(pairs, network.latencies_us(pairs, rng=rng).tolist()))
     peak = {(a, b): network.peak_bandwidth(a, b) for a, b in pairs}
     return ClusterSnapshot(
         time=now,

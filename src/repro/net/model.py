@@ -244,6 +244,21 @@ class NetworkModel:
             rng=rng,
         )
 
+    def latencies_us(
+        self, pairs: Sequence[tuple[str, str]], *, rng=None
+    ) -> np.ndarray:
+        """:meth:`latency_us` of every pair, in pair order, in one sweep.
+
+        Jitter draws follow pair order, so the values and ``rng``'s state
+        equal those of one :meth:`latency_us` call per pair.
+        """
+        return self._latency.latencies_us(
+            pairs,
+            self.link_utilization(),
+            node_load=self._node_load_provider,
+            rng=rng,
+        )
+
     def bandwidth_matrix(self, nodes: Sequence[str]) -> np.ndarray:
         """Symmetric matrix of available bandwidth between ``nodes``.
 
@@ -264,18 +279,8 @@ class NetworkModel:
     def latency_matrix(self, nodes: Sequence[str], *, rng=None) -> np.ndarray:
         """Symmetric matrix of latencies (µs) between ``nodes``."""
         n = len(nodes)
-        util = self.link_utilization()
+        i, j = np.triu_indices(n, 1)
+        pairs = [(nodes[a], nodes[b]) for a, b in zip(i, j)]
         mat = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                lat = self._latency.latency_us(
-                    nodes[i],
-                    nodes[j],
-                    util,
-                    endpoint_load_per_core=self._endpoint_loads(
-                        nodes[i], nodes[j]
-                    ),
-                    rng=rng,
-                )
-                mat[i, j] = mat[j, i] = lat
+        mat[i, j] = mat[j, i] = self.latencies_us(pairs, rng=rng)
         return mat

@@ -29,8 +29,9 @@ def _group_network_extremes(
         (a, b) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
     ]
     bw = network.bulk_available_bandwidth(pairs)
-    for a, b in pairs:
-        worst_lat = max(worst_lat, network.latency_us(a, b))
+    lat = network.latencies_us(pairs).tolist()
+    for (a, b), lat_ab in zip(pairs, lat):
+        worst_lat = max(worst_lat, lat_ab)
         worst_bw = min(worst_bw, bw[(a, b)])
     return worst_lat, worst_bw
 

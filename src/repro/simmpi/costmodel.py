@@ -107,14 +107,13 @@ class MessageCostModel:
             # standing queues the M/M/1 term models (pricing them as
             # saturating flows would send every phase to the rho->1
             # asymptote regardless of placement).
-            lat_cache: dict[tuple[str, str], float] = {}
-            for msg, _flow in inter:
-                pair = (
-                    placement.node(msg.src_rank),
-                    placement.node(msg.dst_rank),
+            pairs = list(
+                dict.fromkeys(
+                    (placement.node(msg.src_rank), placement.node(msg.dst_rank))
+                    for msg, _flow in inter
                 )
-                if pair not in lat_cache:
-                    lat_cache[pair] = net.latency_us(*pair)
+            )
+            pair_lat = dict(zip(pairs, net.latencies_us(pairs).tolist()))
             # Bandwidth shares do include all concurrent phase messages:
             # simultaneous halo transfers compete on shared links.
             added = net.add_flows([f for _, f in inter])
@@ -129,7 +128,7 @@ class MessageCostModel:
                         rates.get(flow.flow_id, 0.0) * net._bw_factor(*pair),
                         1e-6,
                     )
-                    lat_us = lat_cache[pair] + cfg.software_overhead_us
+                    lat_us = pair_lat[pair] + cfg.software_overhead_us
                     t = lat_us * 1e-6 + msg.volume_mb / rate
                     slowest = max(slowest, t)
             finally:

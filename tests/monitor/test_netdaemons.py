@@ -98,3 +98,19 @@ class TestBandwidthD:
         d.start()
         engine.run(300.0)
         assert store.get("bandwidth/node5") is None
+
+
+def test_repeated_livehosts_names_are_probed_once():
+    """A livehosts record naming a node twice must not kill either probe
+    daemon: each probes the node once, as if it were named once."""
+    from repro.experiments.scenario import small_scenario
+
+    sc = small_scenario(8, seed=1, warmup_s=100)
+    names = sc.cluster.names
+    sc.monitoring.store.put("livehosts", names + [names[0]], sc.engine.now)
+    sc.monitoring.latencyd.sample()
+    sc.monitoring.bandwidthd.sample()
+    for n in names:
+        others = set(names) - {n}
+        assert set(sc.monitoring.store.value(f"latency/{n}")) == others
+        assert set(sc.monitoring.store.value(f"bandwidth/{n}")) == others

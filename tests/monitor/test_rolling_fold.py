@@ -4,8 +4,10 @@
 fold.  Each must equal — with ``==``, not approximately — the mean a
 plain per-window walk gives: newest sample first, ``total += v`` until
 the first sample older than ``now - window``.  :class:`ReferenceWindows`
-is that walk, kept here as the oracle; other suites (the refresh
-differential) patch it into the monitor daemons.
+is that walk, kept here as the oracle; the refresh differential runs
+the monitor daemons on it.  A window of several columns, whose rows may
+leave columns out, must equal one such walk per column fed only that
+column's samples.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor.rolling import DEFAULT_WINDOWS, RollingWindows
+
+# A sum that overflows to inf, or adds inf to -inf, gives the walk's
+# values; NumPy's fold also reports those as RuntimeWarnings.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
 
 
 class ReferenceWindows:
@@ -30,6 +41,10 @@ class ReferenceWindows:
         if self._samples and time < self._samples[-1][0]:
             raise ValueError("samples must arrive in time order")
         self._samples.append((time, float(value)))
+        self.age(time)
+
+    def age(self, time: float) -> None:
+        """Drop the samples an add at ``time`` drops, adding none."""
         horizon = time - self.windows[-1]
         while self._samples and self._samples[0][0] < horizon:
             self._samples.popleft()
@@ -137,3 +152,88 @@ def test_duplicate_timestamps_sum_newest_first():
         total += v
     assert rw.mean(60.0) == total / len(values)
     assert rw.count(60.0) == len(values)
+
+
+#: samples for the column test: values of one magnitude, whose sums
+#: depend on the order of their additions, and NaN and infinities,
+#: which must poison exactly the windows they fall in
+any_values = (
+    values
+    | st.floats(min_value=-100.0, max_value=100.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    windows=window_sets,
+    width=st.integers(1, 4),
+    rows=st.lists(
+        st.tuples(
+            gaps,
+            st.lists(st.tuples(st.booleans(), any_values), min_size=4, max_size=4),
+        ),
+        max_size=60,
+    ),
+    probes=st.lists(
+        st.sampled_from([None, 0.0, -1.0, -61.0, 30.0, 400.0, 2000.0]),
+        min_size=1,
+        max_size=3,
+    ),
+    masked=st.booleans(),
+)
+def test_columns_equal_one_walk_per_column(windows, width, rows, probes, masked):
+    """Each column of a window with presence masks is the newest-first
+    walk over that column's own samples; a column missing a row still
+    ages out old samples with it, as one window per signal would."""
+    folded = RollingWindows(windows, width=width)
+    walked = [ReferenceWindows(windows) for _ in range(width)]
+    probe_windows = (*folded.windows, 17.0)
+    t = 0.0
+    for gap, samples in rows:
+        t += gap
+        present = [p or not masked for p, _ in samples[:width]]
+        values_ = [v for _, v in samples[:width]]
+        columns = [c for c in range(width) if present[c]]
+        if masked:
+            folded.add(t, [values_[c] for c in columns], columns)
+        else:
+            folded.add(t, values_)
+        for c, ref in enumerate(walked):
+            if present[c]:
+                ref.add(t, values_[c])
+            else:
+                ref.age(t)
+        for offset in probes:
+            now = None if offset is None else t + offset
+            sums, counts = folded.fold(now, probe_windows)
+            assert sums.shape == counts.shape == (len(probe_windows), width)
+            for i, w in enumerate(probe_windows):
+                for c, ref in enumerate(walked):
+                    # ``None`` reads at the newest row, which the column
+                    # may have missed
+                    at = t if now is None else now
+                    n = int(counts[i, c])
+                    assert n == ref.count(w, at)
+                    got = float(sums[i, c]) / n if n else None
+                    assert same(got, ref.mean(w, at))
+
+
+def test_a_row_may_leave_every_column_out():
+    rw = RollingWindows((60.0,), width=3)
+    rw.add(0.0, [], [])
+    sums, counts = rw.fold()
+    assert counts.tolist() == [[0, 0, 0]] and sums.tolist() == [[0.0, 0.0, 0.0]]
+    rw.add(10.0, [-0.0, float("nan")], [0, 2])
+    rw.add(20.0, [-0.0], [0])
+    sums, counts = rw.fold()
+    assert counts.tolist() == [[2, 0, 1]]
+    # an all -0.0 column sums to +0.0, as a walk seeded with 0.0 does
+    assert same(float(sums[0, 0]), 0.0) and same(float(sums[0, 1]), 0.0)
+    assert np.isnan(sums[0, 2])
+    # the one-signal API counts only the rows that hold its signal
+    one = RollingWindows((60.0,))
+    one.add(0.0, 2.0)
+    one.add(10.0, [], [])
+    assert one.count(60.0) == 1 and len(one) == 2
+    assert one.mean(60.0) == 2.0 and one.mean(60.0, now=65.0) is None

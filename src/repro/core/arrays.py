@@ -34,16 +34,18 @@ into NumPy arrays and replays both algorithms as array operations:
 Exactness contract: a slice normalizes with the reference's own
 left-to-right Python sums, in the reference's iteration order, and
 NumPy's element-wise ``α·CL + β·NL`` is bit-identical to the scalar
-expression, so the per-row lexsort reproduces the reference candidate
-*exactly* (same nodes, same process counts, same tie-breaks).
-Equation 4 has one array kernel (:func:`_eq4`), which repeats the
-reference's arithmetic in the reference's order: builtin ``sum``
-wherever the reference calls it (compensated since Python 3.12, so a
-NumPy sum may not stand in for it) and a sequential ``np.cumsum`` fold
-wherever it loops ``total +=``.  Every array score — the exact path's,
-the seed-pruned fleet path's and :func:`score_candidates_fast`'s — is
-the reference's bit for bit over the same candidates, and so is the
-winner under exact ties.
+expression (also computed in place, into one buffer), so the per-row
+lexsort reproduces the reference candidate *exactly* (same nodes, same
+process counts, same tie-breaks).  Equation 4 has one array kernel
+(:func:`_eq4`), which repeats the reference's arithmetic in the
+reference's order: builtin ``sum`` wherever the reference calls it
+(compensated since Python 3.12, so a NumPy sum may not stand in for
+it) and, wherever it loops ``total +=``, a pairs-major
+``np.add.reduce`` across rows of (pairs, groups) blocks, which NumPy
+runs as one sequential fold per group (:func:`_pair_folds`).  Every
+array score — the exact path's, the seed-pruned fleet path's and
+:func:`score_candidates_fast`'s — is the reference's bit for bit over
+the same candidates, and so is the winner under exact ties.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ PRUNE_KEEP_DEFAULT = 32
 #: key under which a snapshot's :class:`ArrayStore` lives in its
 #: ``derived_cache``
 STORE_KEY = "array_store"
-#: most pair values :func:`_pair_folds` gathers at once (8 bytes each)
-_PAIR_BLOCK = 1 << 16
+#: most pair values (and their indices) :func:`_pair_folds` gathers at
+#: once: a block holds this many over the number of groups pairs, so
+#: its memory stays flat at any group size
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -432,10 +436,9 @@ def _grow(
         empty = np.zeros((s, v), dtype=np.intp)
         return Growth(seeds, empty, empty.astype(np.int64))
     rows = np.arange(s)
-    costs = (
-        tradeoff.alpha * state.cl_vec[None, :]
-        + tradeoff.beta * state.nl_mat[seeds, :]
-    )
+    costs = state.nl_mat[seeds]  # the one K×V cost buffer
+    np.multiply(costs, tradeoff.beta, out=costs)
+    np.add(tradeoff.alpha * state.cl_vec[None, :], costs, out=costs)
     costs[rows, seeds] = 0.0  # A_v(v) = 0 per Algorithm 1 line 4
     # Reference sort key is (cost, u != start) with stable ties on node
     # order; lexsort's last key is primary and full ties keep ascending
@@ -579,26 +582,36 @@ def _pair_folds(
 
     Row ``i`` lists its group's columns in ``members[i, :counts[i]]``.
     Its pairs are taken in ``itertools.combinations`` order (the upper
-    triangle, row-major), pairs past its size are masked to ``0.0``, and
-    ``np.cumsum`` — a sequential fold, unlike NumPy's pairwise ``sum`` —
-    runs along them.  Rows are processed in blocks of at most
-    ``_PAIR_BLOCK`` pair values, so memory stays flat at any group size.
+    triangle, row-major) and folded pairs-major: a block of pairs is
+    gathered as a (pairs, groups) matrix, pairs past a group's size are
+    set to ``0.0``, the running totals are added into the block's first
+    row, and ``np.add.reduce(axis=0)`` adds the rows one after another.
+    NumPy sums pairwise only along an array's fast axis, so a reduce
+    across rows is a sequential fold per column.  One group still gets
+    a second (ignored) column: a ``(pairs, 1)`` block is reduced along
+    its fast axis, pairwise.
     """
     s, width = members.shape
+    out = np.zeros(max(s, 2), dtype=np.float64)
     p, q = np.triu_indices(width, 1)
-    out = np.zeros(s, dtype=np.float64)
     if not len(p):
-        return out
+        return out[:s]
+    cols = np.zeros((width, len(out)), dtype=np.intp)
+    cols[:, :s] = members.T
+    offsets = cols * nl_mat.shape[1]  # each member's row in ``flat``
     flat = nl_mat.ravel()
-    step = max(1, _PAIR_BLOCK // len(p))
-    for lo in range(0, s, step):
-        block = members[lo : lo + step]
-        idx = (block * nl_mat.shape[1])[:, p]
-        idx += block[:, q]
+    short = bool((counts < width).any())
+    step = max(1, _PAIR_BLOCK // len(out))
+    for lo in range(0, len(p), step):
+        qb = q[lo : lo + step]
+        idx = offsets.take(p[lo : lo + step], axis=0)
+        idx += cols.take(qb, axis=0)
         vals = flat.take(idx)
-        vals[q[None, :] >= counts[lo : lo + step, None]] = 0.0
-        out[lo : lo + step] = np.cumsum(vals, axis=1)[:, -1]
-    return out
+        if short:
+            vals[:, :s][qb[:, None] >= counts[None, :]] = 0.0
+        vals[0] += out
+        out = np.add.reduce(vals, axis=0)
+    return out[:s]
 
 
 def best_candidate_fast(
@@ -645,10 +658,8 @@ def _seed_lower_bounds(state: LoadState, tradeoff: TradeOff) -> np.ndarray:
         if len(state.nodes) < 2:
             cached = np.zeros(len(state.nodes), dtype=np.float64)
         else:
-            a = (
-                tradeoff.alpha * state.cl_vec[None, :]
-                + tradeoff.beta * state.nl_mat
-            )
+            a = np.multiply(state.nl_mat, tradeoff.beta)
+            np.add(tradeoff.alpha * state.cl_vec[None, :], a, out=a)
             np.fill_diagonal(a, np.inf)
             cached = a.min(axis=1)
         state.scratch[key] = cached

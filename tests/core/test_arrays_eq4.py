@@ -1,14 +1,17 @@
 """Equation 4 on arrays: the reference's numbers, bit for bit.
 
 One kernel scores every array candidate: compute costs are builtin
-``sum`` in visit order, network costs a sequential ``np.cumsum`` fold
-over each group's pairs in ``itertools.combinations`` order, and pair
-values are gathered in blocks.  These tests pin the two places where a
-plausible vectorization would drift from the reference — summation
-order over values of mixed magnitude, and the block loop at a scale
-where one block cannot hold every pair — and each caller of the kernel
-against the reference: the exact path, ``score_candidates_fast`` over
-arbitrary groups, and the seed-pruned path over the seeds it keeps.
+``sum`` in visit order, and network costs fold each group's pairs in
+``itertools.combinations`` order, pairs-major: blocks of (pairs,
+groups) values reduced across rows, which NumPy adds one row at a
+time.  These tests pin the places where a plausible vectorization
+would drift from the reference — summation order over values of mixed
+magnitude, a one-group block that NumPy would sum pairwise, running
+totals across block boundaries, and pairs past a short group's count —
+and each caller of the kernel against the reference: the exact path,
+``score_candidates_fast`` over arbitrary groups, and the seed-pruned
+path over the seeds it keeps, including the all-free-processors slice
+a cross-shard grant asks of a shard and a tie at the seed cut.
 """
 
 from __future__ import annotations
@@ -103,6 +106,104 @@ class TestFoldOrder:
             snap, request
         )
         assert_allocations_equal(grant, reference)
+
+
+def _nine_decade_loads(rng: np.random.Generator, v: int) -> np.ndarray:
+    """A symmetric (v, v) ``NL`` matrix with a zero diagonal whose pair
+    loads are log-uniform over nine decades."""
+    upper = np.triu(10.0 ** rng.uniform(-3.0, 6.0, size=(v, v)), 1)
+    return upper + upper.T
+
+
+def _python_fold(nl_mat: np.ndarray, group) -> float:
+    """The reference's walk: ``total += NL`` over the group's pairs in
+    ``itertools.combinations`` order."""
+    total = 0.0
+    for a, b in itertools.combinations(group, 2):
+        total += float(nl_mat[a, b])
+    return total
+
+
+def _left_aligned(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Groups as ``_eq4`` hands them over: members left-aligned in a
+    (groups, widest) matrix, zero-padded, plus each group's count."""
+    counts = np.array([len(g) for g in groups], dtype=np.intp)
+    members = np.zeros((len(groups), int(counts.max())), dtype=np.intp)
+    for row, group in zip(members, groups):
+        row[: len(group)] = group
+    return members, counts
+
+
+class TestPairFolds:
+    """``_pair_folds`` equals a plain ``total += v`` walk where a
+    pairs-major reduce could go wrong: a group whose block NumPy would
+    reduce pairwise, running totals carried across block boundaries, and
+    pairs past a short group's count."""
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_groups_past_the_pairwise_block(self, n_groups):
+        """30-node groups: 435 pairs each, past NumPy's 128-value
+        pairwise block, with loads spanning nine decades."""
+        rng = np.random.default_rng(40 + n_groups)
+        nl_mat = _nine_decade_loads(rng, 64)
+        groups = [rng.choice(64, size=30, replace=False) for _ in range(n_groups)]
+        folds = [_python_fold(nl_mat, g) for g in groups]
+        # the data tell a pairwise sum from the sequential fold
+        pairwise = [
+            float(np.sum([nl_mat[a, b] for a, b in itertools.combinations(g, 2)]))
+            for g in groups
+        ]
+        assert pairwise != folds
+        assert arrays._pair_folds(nl_mat, *_left_aligned(groups)).tolist() == folds
+
+    def test_running_totals_cross_block_boundaries(self):
+        """Two groups with more pairs than ``_PAIR_BLOCK`` values: their
+        pairs span at least three blocks."""
+        width = next(
+            w for w in itertools.count(2) if w * (w - 1) // 2 > arrays._PAIR_BLOCK
+        )
+        rng = np.random.default_rng(47)
+        nl_mat = _nine_decade_loads(rng, width + 20)
+        groups = [rng.choice(width + 20, size=width, replace=False) for _ in range(2)]
+        assert arrays._pair_folds(nl_mat, *_left_aligned(groups)).tolist() == [
+            _python_fold(nl_mat, g) for g in groups
+        ]
+
+    def test_unequal_counts(self):
+        """Groups of 40, 24, 33, 2, 1 and 39 nodes in one call: the pairs
+        past each short group's count add nothing."""
+        rng = np.random.default_rng(48)
+        nl_mat = _nine_decade_loads(rng, 64)
+        groups = [
+            rng.choice(64, size=k, replace=False) for k in (40, 24, 33, 2, 1, 39)
+        ]
+        assert arrays._pair_folds(nl_mat, *_left_aligned(groups)).tolist() == [
+            _python_fold(nl_mat, g) for g in groups
+        ]
+
+    @pytest.mark.parametrize("n_candidates", [1, 2])
+    def test_wide_candidates_score_as_the_reference(self, n_candidates):
+        """``score_candidates_fast`` on one and on two 32-node candidates
+        (496 pairs each) equals ``score_candidates`` on every field."""
+        rng = np.random.default_rng(60 + n_candidates)
+        snap = _wide_latency_snapshot(rng, 40)
+        state = load_state(
+            snap, nodes=list(snap.nodes),
+            network_weights=NetworkWeights(w_lt=1.0, w_bw=0.0),
+        )
+        names = state.nodes
+        candidates = []
+        for _ in range(n_candidates):
+            group = tuple(names[i] for i in rng.choice(40, size=32, replace=False))
+            candidates.append(
+                CandidateSubgraph(
+                    start=group[0], nodes=group, procs=dict.fromkeys(group, 1)
+                )
+            )
+        tradeoff = TradeOff.from_alpha(0.4)
+        assert score_candidates_fast(
+            state, candidates, tradeoff
+        ) == score_candidates(candidates, state.cl, state.nl, tradeoff)
 
 
 class TestScale:
@@ -263,12 +364,19 @@ class TestPrunedPath:
             (64, 0.5, 4),
             # oversubscribed: every candidate holds every usable node
             (4 * 224 + 7, 0.3, 4),
+            # every free processor, the first slice a cross-shard grant
+            # asks of a shard: each kept seed grows the same node set in
+            # its own visit order, so the winner turns on the last bits
+            # of each fold
+            pytest.param(None, 0.5, None, id="free-0.5-None"),
         ],
     )
     def test_winner_is_the_reference_over_kept_seeds(
         self, fleet, n, alpha, ppn
     ):
-        state = _shard_state(fleet, n, ppn=ppn)
+        state = _shard_state(fleet, n if n is not None else 1, ppn=ppn)
+        if n is None:
+            n = int(np.maximum(state.pc_vec, 0).sum())
         tradeoff = TradeOff.from_alpha(alpha)
         keep = arrays.PRUNE_KEEP_DEFAULT
         seeds = arrays._pruned_seeds(state, n, tradeoff, keep)
@@ -303,3 +411,31 @@ def test_seed_bounds_are_memoized_per_alpha_and_beta():
         assert np.array_equal(
             arrays._seed_lower_bounds(state, tradeoff), costs.min(axis=1)
         )
+
+
+def test_seed_cut_keeps_what_argpartition_picks(fleet):
+    """Two mutual-nearest neighbours tie at the prune cut: each one's
+    cheapest first addition is the other, so their bounds sum the same
+    three terms, here to the same float.  ``_pruned_seeds`` keeps the
+    seeds ``np.argpartition`` picks from the broadcast-expression bounds,
+    so its introselect, not node order, decides which of the two stays;
+    a node-order cut would keep the other one and change decisions."""
+    state = _shard_state(fleet, 0)
+    tradeoff = TradeOff.from_alpha(0.3)
+    n, keep = 32, arrays.PRUNE_KEEP_DEFAULT
+    costs = tradeoff.alpha * state.cl_vec[None, :] + tradeoff.beta * state.nl_mat
+    np.fill_diagonal(costs, np.inf)
+    base = tradeoff.alpha * state.cl_vec
+    bounds = np.where(
+        np.maximum(state.pc_vec, 0) >= n, base, base + costs.min(axis=1)
+    )
+    ranked = np.sort(bounds)
+    assert ranked[keep - 1] == ranked[keep]  # the tie straddles the cut
+    u, v = np.flatnonzero(bounds == ranked[keep - 1]).tolist()
+    nearest = costs.argmin(axis=1)
+    assert nearest[u] == v and nearest[v] == u
+    kept = arrays._pruned_seeds(state, n, tradeoff, keep)
+    assert np.array_equal(kept, np.sort(np.argpartition(bounds, keep - 1)[:keep]))
+    assert np.isin([u, v], kept).sum() == 1
+    node_order = np.sort(np.argsort(bounds, kind="stable")[:keep])
+    assert not np.array_equal(kept, node_order)

@@ -1,7 +1,7 @@
 """Async-safety rules — nothing may block the broker's event loop.
 
 The broker daemon is a single asyncio loop: one blocking call inside an
-``async def`` stalls every connection, the micro-batcher, and the lease
+``async def`` stalls every connection, the batch callback, and the lease
 sweeper at once.  The failure is invisible in unit tests (they await one
 coroutine at a time) and catastrophic under load, which is exactly the
 profile a static check covers best.

@@ -101,6 +101,11 @@ def _default_rng(seed: int | None) -> random.Random:
     return random.Random(seed)
 
 
+def _opt_float(value: Any) -> float | None:
+    """A reply's optional number: ``None`` stays ``None``."""
+    return None if value is None else float(value)
+
+
 def _default_socket_factory(
     host: str, port: int, timeout_s: float
 ) -> socket.socket:
@@ -130,7 +135,13 @@ class BrokerError(Exception):
 
 @dataclass(frozen=True)
 class Grant:
-    """A successful allocation as seen by the client."""
+    """A successful allocation as seen by the client.
+
+    The last five fields are ``None`` when the reply lacks them: only a
+    federation's cross-shard grant names its ``shards`` (member shard →
+    member lease), and a policy that reports no Equation-4 terms (e.g.
+    ``random``) leaves the costs out.
+    """
 
     lease_id: str
     nodes: tuple[str, ...]
@@ -139,6 +150,11 @@ class Grant:
     policy: str
     ttl_s: float
     expires_at: float
+    shards: Mapping[str, str] | None = None
+    snapshot_time: float | None = None
+    total_cost: float | None = None
+    compute_cost: float | None = None
+    network_cost: float | None = None
 
 
 class BrokerClient:
@@ -457,6 +473,14 @@ class BrokerClient:
             policy=str(result["policy"]),
             ttl_s=float(result["ttl_s"]),
             expires_at=float(result["expires_at"]),
+            shards=(
+                None if result.get("shards") is None
+                else {str(k): str(v) for k, v in result["shards"].items()}
+            ),
+            snapshot_time=_opt_float(result.get("snapshot_time")),
+            total_cost=_opt_float(result.get("total_cost")),
+            compute_cost=_opt_float(result.get("compute_cost")),
+            network_cost=_opt_float(result.get("network_cost")),
         )
 
     def renew(self, lease_id: str, *, ttl_s: float | None = None) -> dict:

@@ -70,7 +70,7 @@ class BrokerMetrics:
         #: allocate replays answered from the idempotency-token memo
         #: (a retried request that did NOT grant a second lease)
         self.allocates_deduped = 0
-        #: background tasks (batcher/sweeper/pipelined) that died with an
+        #: background tasks (the sweeper) that died with an
         #: unexpected exception — counted by their done-callbacks so a
         #: fire-and-forget failure is never silently dropped
         self.background_task_failures = 0

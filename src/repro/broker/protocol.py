@@ -393,7 +393,7 @@ class OpSpec:
     handler: str | None
     #: :data:`BROKER_SCOPE`, :data:`FEDERATION_SCOPE` or :data:`TRANSPORT_SCOPE`
     scope: str
-    #: rides the admission queue and the micro-batcher
+    #: rides the admission queue and the batch callback
     admitted: bool = False
     #: the client may replay it after a transport death (``allocate``
     #: only with the idempotency token the client always attaches)

@@ -2,24 +2,30 @@
 
 Transport architecture:
 
-* one :func:`asyncio.start_server` connection handler per client,
-  reading newline-delimited requests and writing one response line per
-  request, in order.  A ``hello`` request may switch the connection to
-  **pipelined** mode, where up to ``max_inflight`` allocate requests
-  ride the admission queue concurrently and responses are written as
-  they complete — possibly out of order, matched by request ``id``.
-  Exceeding the in-flight window answers ``BUSY`` immediately;
-* admitted ops (``allocate``) flow through a **bounded admission queue**
-  into a single batcher task.  The batcher drains whatever accumulated
-  while the previous batch was being decided (plus, optionally, waits
-  ``batch_window_s`` for stragglers), then decides the whole batch
-  against one shared snapshot via
-  :meth:`~repro.broker.service.BrokerService.allocate_batch`.  When the
-  queue is full the connection handler answers ``BUSY`` immediately —
+* one :class:`asyncio.Protocol` per client connection, and no task per
+  connection or per request.  Each chunk the socket delivers is split
+  into newline-delimited requests, served in order, and the replies to
+  its inline ops leave in one write.  A ``hello`` request may switch the
+  connection to **pipelined** mode, where up to ``max_inflight``
+  allocate requests wait in the admission queue at once and their
+  responses are written as they are decided — possibly out of order,
+  matched by request ``id``.  Exceeding the in-flight window answers
+  ``BUSY`` immediately.  A connection that has not pipelined reads no
+  further request until its allocate is answered;
+* admitted ops (``allocate``) join a **bounded admission queue**.  The
+  first one schedules a single batch callback on the event loop (after
+  ``batch_window_s``, when one is set), which decides up to
+  ``max_batch`` queued requests against one shared snapshot via
+  :meth:`~repro.broker.service.BrokerService.allocate_batch` and writes
+  their replies: a batch is whatever queued before the loop got to it.
+  When the queue is full the connection answers ``BUSY`` immediately —
   explicit backpressure instead of unbounded buffering;
 * every other op in the daemon's :attr:`~BrokerServer.SCOPES` is served
-  inline by the connection handler through
-  :func:`~repro.broker.protocol.dispatch`; the rest answer ``UNKNOWN_OP``;
+  inline through :func:`~repro.broker.protocol.dispatch`; the rest
+  answer ``UNKNOWN_OP``;
+* a connection whose peer stops reading its replies stops being read
+  (``pause_writing`` pauses reading until ``resume_writing``), so no
+  connection buffers without bound;
 * a **sweeper task** reclaims expired leases every ``sweep_period_s`` so
   capacity held by dead clients returns to the pool even if nobody ever
   allocates again.
@@ -34,7 +40,8 @@ from __future__ import annotations
 import asyncio
 import logging
 import threading
-from typing import Any
+from collections import deque
+from typing import Any, Iterable, cast
 
 from repro.broker.protocol import (
     BROKER_SCOPE,
@@ -43,7 +50,6 @@ from repro.broker.protocol import (
     OP_TABLE,
     PROTOCOL_VERSION,
     TRANSPORT_SCOPE,
-    AllocateParams,
     ErrorCode,
     HelloParams,
     ProtocolError,
@@ -60,31 +66,203 @@ from repro.broker.service import BrokerService
 
 log = logging.getLogger(__name__)
 
-#: Coalesced-response cap: a pipelined burst flushes at least this often
-#: even while further requests are still buffered, bounding both memory
-#: and the client's wait for the first response of a very large burst.
+#: Coalesced-response cap: a burst flushes at least this often even while
+#: further requests are still buffered, bounding both memory and the
+#: client's wait for the first response of a very large burst.
 _FLUSH_HIGH_WATER = 256 * 1024
 
+#: A line longer than this cannot be resynced mid-message, so it is
+#: answered once and its connection closed.  A line between
+#: ``MAX_LINE_BYTES`` and this is read whole, refused by
+#: ``parse_request``, and the connection keeps serving.
+_LINE_LIMIT = 4 * MAX_LINE_BYTES
 
-class _TransportViolation(Exception):
-    """A framing-level fault the connection cannot recover from."""
-
-    def __init__(self, error: ProtocolError) -> None:
-        super().__init__(error.message)
-        self.error = error
+#: an admitted allocate: the request and the connection its reply goes to
+_Entry = tuple[Request, "_Connection"]
 
 
-class _ConnState:
-    """Per-connection transport options negotiated via ``hello``."""
+class _Connection(asyncio.Protocol):
+    """One client connection: framing, inline ops, admission, flow control.
 
-    __slots__ = ("pipeline", "max_inflight", "write_lock", "out")
+    Buffered lines wait, unread, while the peer does not read its
+    replies (``pause_writing``) and, on a connection that has not
+    pipelined, while its admitted allocate awaits its reply; reading
+    from the socket pauses with them.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = (
+        "server", "transport", "peer", "pipeline", "max_inflight",
+        "inflight", "awaiting", "write_paused", "eof", "closed", "buf",
+        "scanned", "out",
+    )
+
+    def __init__(self, server: BrokerServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport
+        self.peer: Any = None
         self.pipeline = False
         self.max_inflight = 1
-        self.write_lock = asyncio.Lock()
-        # Coalesced inline responses awaiting one flush (reader loop only).
+        #: admitted allocates not yet answered
+        self.inflight = 0
+        #: the allocate a connection that has not pipelined waits on
+        self.awaiting: Request | None = None
+        self.write_paused = False
+        self.eof = False
+        self.closed = False
+        #: received bytes not yet served; ``buf[:scanned]`` holds no
+        #: newline after the first unserved line's start
+        self.buf = bytearray()
+        self.scanned = 0
+        #: replies awaiting one write
         self.out = bytearray()
+
+    # -- asyncio.Protocol -----------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.peer = transport.get_extra_info("peername")
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        self.serve_buffered()
+
+    def eof_received(self) -> bool:
+        # Lines received before the EOF are still served; the connection
+        # closes once they are, and replies still pending are dropped.
+        self.eof = True
+        self.serve_buffered()
+        return True
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        log.debug("connection from %s closed", self.peer)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.serve_buffered()
+
+    # -- serving --------------------------------------------------------
+    def serve_buffered(self) -> None:
+        """Serve every buffered line that may be served now, write the
+        replies, and read from the socket only if more may be served."""
+        buf = self.buf
+        start = 0
+        close = False
+        while not (self.awaiting is not None or self.write_paused or self.closed):
+            end = buf.find(b"\n", self.scanned)
+            if end < 0:
+                self.scanned = len(buf)
+                if len(buf) - start > _LINE_LIMIT:
+                    self.refuse_oversized()
+                    close = True
+                else:
+                    close = self.eof
+                break
+            if end - start > _LINE_LIMIT:
+                self.refuse_oversized()
+                close = True
+                break
+            line = buf[start:end + 1]
+            start = self.scanned = end + 1
+            if line.strip():
+                self.serve_line(line)
+                if len(self.out) >= _FLUSH_HIGH_WATER:
+                    self.flush()
+        if start:
+            del buf[:start]
+            self.scanned -= start
+        self.flush()
+        if close:
+            self.closed = True
+            self.transport.close()
+        elif not (self.eof or self.closed):
+            if self.awaiting is not None or self.write_paused:
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+
+    def refuse_oversized(self) -> None:
+        """Answer a line past ``_LINE_LIMIT`` once; the caller closes."""
+        metrics = self.server.service.metrics
+        metrics.protocol_errors += 1
+        metrics.oversized_requests += 1
+        self.out += encode_response(error_response("", ProtocolError(
+            ErrorCode.BAD_REQUEST, f"request exceeds {MAX_LINE_BYTES} bytes"
+        )))
+
+    def serve_line(self, raw: bytearray) -> None:
+        """Answer one request line inline, or admit its allocate."""
+        server = self.server
+        metrics = server.service.metrics
+        try:
+            request = parse_request(raw)
+        except ProtocolError as exc:
+            metrics.protocol_errors += 1
+            if len(raw) > MAX_LINE_BYTES:
+                metrics.oversized_requests += 1
+            elif not _parses_as_object(raw):
+                metrics.malformed_lines += 1
+            self.out += encode_response(error_response(best_effort_id(raw), exc))
+            return
+        metrics.record_request(request.op)
+        spec = OP_TABLE[request.op]
+        if spec.scope == TRANSPORT_SCOPE:
+            # The granted mode applies to every request after this one.
+            response, upgrade = server._hello(request)
+            if upgrade is not None:
+                self.pipeline, self.max_inflight = upgrade
+        elif not spec.admitted:
+            response = dispatch(server.service, request, server.SCOPES)
+        elif self.pipeline and self.inflight >= self.max_inflight:
+            metrics.busy_rejected += 1
+            response = error_response(request.id, ProtocolError(
+                ErrorCode.BUSY,
+                f"pipeline window full ({self.max_inflight}); "
+                "read some responses before sending more",
+            ))
+        elif len(server._queue) >= server.max_queue:
+            metrics.busy_rejected += 1
+            response = error_response(request.id, ProtocolError(
+                ErrorCode.BUSY,
+                f"admission queue full ({server.max_queue}); retry later",
+            ))
+        else:
+            server._queue.append((request, self))
+            server._schedule_batch()
+            self.inflight += 1
+            if not self.pipeline:
+                self.awaiting = request
+            return
+        self.out += encode_response(response)
+
+    def flush(self) -> None:
+        """Write every coalesced reply at once."""
+        if self.out and not self.closed:
+            out, self.out = self.out, bytearray()
+            self.transport.write(out)
+
+
+def _answer(entries: Iterable[_Entry], outcomes: Iterable[Any]) -> None:
+    """Write each admitted allocate's reply (a grant or a
+    :class:`ProtocolError`); a connection that closed gets none."""
+    answered: dict[_Connection, None] = {}
+    for (request, conn), outcome in zip(entries, outcomes):
+        conn.inflight -= 1
+        if conn.awaiting is request:
+            conn.awaiting = None
+        if conn.closed:
+            continue
+        if isinstance(outcome, ProtocolError):
+            response = error_response(request.id, outcome)
+        else:
+            response = ok_response(request.id, outcome)
+        conn.out += encode_response(response)
+        answered[conn] = None
+    for conn in answered:
+        conn.serve_buffered()
 
 
 class BrokerServer:
@@ -92,10 +270,11 @@ class BrokerServer:
 
     ``port=0`` binds an ephemeral port (read it back from ``self.port``
     after :meth:`start`).  ``batch_window_s=0`` (the default) batches
-    *adaptively*: each batch is whatever arrived while the previous one
-    was being decided — no added latency when traffic is light, large
-    batches exactly when traffic is heavy.  A positive window additionally
-    waits that long for stragglers before deciding.
+    *adaptively*: each batch is whatever queued before the event loop got
+    to it — no added latency when traffic is light, large batches exactly
+    when traffic is heavy.  A positive window additionally waits that
+    long after a batch's first request for stragglers, unless
+    ``max_batch`` requests are already queued.
     """
 
     #: op scopes this daemon serves (:data:`~repro.broker.protocol.OP_TABLE`);
@@ -127,7 +306,13 @@ class BrokerServer:
         self.max_queue = max_queue
         self.sweep_period_s = sweep_period_s
         self._server: asyncio.base_events.Server | None = None
-        self._queue: asyncio.Queue | None = None
+        #: the admission queue, bounded by ``max_queue``
+        self._queue: deque[_Entry] = deque()
+        #: whether admitted allocates get decided (off before start(),
+        #: with ``start_batcher=False`` and after stop())
+        self._batching = False
+        #: the scheduled batch callback, if any
+        self._batch_handle: asyncio.Handle | None = None
         self._tasks: list[asyncio.Task] = []
 
     # ------------------------------------------------------------------
@@ -136,23 +321,16 @@ class BrokerServer:
     ) -> tuple[str, int]:
         """Bind and start serving; returns the actual ``(host, port)``.
 
-        The batcher/sweeper switches exist for deterministic tests (a
-        paused batcher makes the admission queue fill synchronously).
+        The batcher/sweeper switches exist for deterministic tests: with
+        the batcher off, admitted allocates stay queued, undecided, so
+        the admission queue fills synchronously.
         """
-        self._queue = asyncio.Queue(maxsize=self.max_queue)
-        # The stream limit must exceed MAX_LINE_BYTES so oversized-but-
-        # bounded lines are *read* and then rejected (and counted) by
-        # parse_request, instead of blowing up readline() mid-transport.
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=4 * MAX_LINE_BYTES,
+        self._batching = start_batcher
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]  # lint: allow(RACE001) — start() runs once; rebinding host/port to the resolved socket address is the point
-        if start_batcher:
-            self._spawn(self._batcher(), "batcher")
         if start_sweeper:
             self._spawn(self._sweeper(), "sweeper")
         log.info("broker listening on %s:%d", self.host, self.port)
@@ -187,7 +365,8 @@ class BrokerServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel background tasks, fail queued waiters.
+        """Stop accepting, cancel the batch and background tasks, and
+        answer every queued allocate ``INTERNAL``.
 
         Safe to call twice or concurrently: every shared handle is
         swapped out *before* the first await touching it, so a task
@@ -196,6 +375,10 @@ class BrokerServer:
         uncancelled, and a second ``stop()`` closing the listener finds
         it already taken.
         """
+        self._batching = False
+        handle, self._batch_handle = self._batch_handle, None
+        if handle is not None:
+            handle.cancel()
         while self._tasks:
             tasks, self._tasks = self._tasks, []
             for task in tasks:
@@ -205,172 +388,19 @@ class BrokerServer:
                     await task
                 except (asyncio.CancelledError, Exception):  # noqa: BLE001 — shutdown drains every background task; a task that died earlier must not abort stop()
                     pass
-        if self._queue is not None:
-            while not self._queue.empty():
-                _, fut = self._queue.get_nowait()
-                # an admission future resolves to a grant or a denial,
-                # so _admit turns this into the waiter's typed reply
-                if not fut.done():
-                    fut.set_result(
-                        ProtocolError(ErrorCode.INTERNAL, "server shutting down")
-                    )
+        shutting_down = ProtocolError(ErrorCode.INTERNAL, "server shutting down")
+        # answering a connection that has not pipelined serves the lines
+        # behind its allocate, which may queue another
+        while self._queue:
+            entries = list(self._queue)
+            self._queue.clear()
+            _answer(entries, [shutting_down] * len(entries))
         server, self._server = self._server, None
         if server is not None:
             server.close()
             await server.wait_closed()
 
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        conn = _ConnState()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    raw = await self._read_line(reader)
-                except _TransportViolation as exc:
-                    # Oversized line: the stream cannot be resynced
-                    # mid-message, so answer once, count it, and drop the
-                    # connection.
-                    metrics = self.service.metrics
-                    metrics.protocol_errors += 1
-                    metrics.oversized_requests += 1
-                    try:
-                        await self._send(writer, conn, error_response("", exc.error))
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
-                    break
-                except ConnectionResetError:
-                    break
-                if raw is None:
-                    break
-                try:
-                    await self._handle_message(raw, conn, writer, pending)
-                    if conn.out and not self._defer_flush(reader, conn):
-                        await self._flush(writer, conn)
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-        finally:
-            for task in pending:
-                task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            log.debug("connection from %s closed", peer)
-
-    @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
-        """The next non-blank request line; ``None`` on EOF."""
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                # A line even the raised stream limit couldn't hold.
-                raise _TransportViolation(ProtocolError(
-                    ErrorCode.BAD_REQUEST,
-                    f"request exceeds {MAX_LINE_BYTES} bytes",
-                )) from None
-            if not line:
-                return None
-            if line.strip() == b"":
-                continue
-            return line
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, conn: _ConnState, response: Response
-    ) -> None:
-        """Encode and write one response line.
-
-        The lock serializes writers: in pipelined mode the reader loop
-        and any number of completion tasks share one socket.
-        """
-        data = encode_response(response)
-        async with conn.write_lock:
-            writer.write(data)
-            await writer.drain()
-
-    @staticmethod
-    def _defer_flush(reader: asyncio.StreamReader, conn: _ConnState) -> bool:
-        """Whether coalesced responses may wait for the next request.
-
-        Only a *pipelined* connection (which has promised to read
-        responses concurrently) with more request bytes already buffered
-        gets its inline responses coalesced into one write — a burst of
-        N cheap ops then costs one syscall instead of N.  Everyone else
-        is flushed before the reader blocks, preserving strict
-        request/response alternation for stop-and-wait clients.
-        """
-        return (
-            conn.pipeline
-            and len(conn.out) < _FLUSH_HIGH_WATER
-            and bool(getattr(reader, "_buffer", None))
-        )
-
-    async def _flush(
-        self, writer: asyncio.StreamWriter, conn: _ConnState
-    ) -> None:
-        """Write every coalesced inline response in one locked burst."""
-        data = bytes(conn.out)
-        del conn.out[:]
-        async with conn.write_lock:
-            writer.write(data)
-            await writer.drain()
-
-    async def _handle_message(
-        self,
-        raw: bytes,
-        conn: _ConnState,
-        writer: asyncio.StreamWriter,
-        pending: set[asyncio.Task],
-    ) -> None:
-        try:
-            request = parse_request(raw)
-        except ProtocolError as exc:
-            metrics = self.service.metrics
-            metrics.protocol_errors += 1
-            if len(raw) > MAX_LINE_BYTES:
-                metrics.oversized_requests += 1
-            elif not _parses_as_object(raw):
-                metrics.malformed_lines += 1
-            conn.out += encode_response(error_response(best_effort_id(raw), exc))
-            return
-        self.service.metrics.record_request(request.op)
-        spec = OP_TABLE[request.op]
-        if spec.scope == TRANSPORT_SCOPE:
-            # The granted mode applies to every request after this one.
-            response, upgrade = self._hello(request)
-            conn.out += encode_response(response)
-            if upgrade is not None:
-                conn.pipeline, conn.max_inflight = upgrade
-            return
-        if conn.pipeline and spec.admitted:
-            if len(pending) >= conn.max_inflight:
-                self.service.metrics.busy_rejected += 1
-                conn.out += encode_response(error_response(
-                    request.id,
-                    ProtocolError(
-                        ErrorCode.BUSY,
-                        f"pipeline window full ({conn.max_inflight}); "
-                        "read some responses before sending more",
-                    ),
-                ))
-                return
-            task = asyncio.ensure_future(
-                self._serve_pipelined(request, conn, writer)
-            )
-            pending.add(task)
-            task.add_done_callback(pending.discard)
-            return
-        if spec.admitted:
-            response = await self._admit(request)
-        else:
-            response = dispatch(self.service, request, self.SCOPES)
-        conn.out += encode_response(response)
-
     def _hello(
         self, request: Request
     ) -> tuple[Response, tuple[bool, int] | None]:
@@ -393,75 +423,41 @@ class BrokerServer:
         }
         return ok_response(request.id, result), (params.pipeline, window)
 
-    async def _serve_pipelined(
-        self,
-        request: Request,
-        conn: _ConnState,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Decide one pipelined allocate and write its response when done."""
-        response = await self._admit(request)
-        try:
-            await self._send(writer, conn, response)
-        except (ConnectionResetError, BrokenPipeError, OSError, RuntimeError):
-            log.debug("pipelined response for %s lost: peer gone", request.id)
-
-    async def _admit(self, request: Request) -> Response:
-        """Queue an allocate request, or reject with ``BUSY`` when full."""
-        assert self._queue is not None, "server not started"
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((request.params, fut))
-        except asyncio.QueueFull:
-            self.service.metrics.busy_rejected += 1
-            return error_response(
-                request.id,
-                ProtocolError(
-                    ErrorCode.BUSY,
-                    f"admission queue full ({self.max_queue}); retry later",
-                ),
-            )
-        outcome = await fut
-        if isinstance(outcome, ProtocolError):
-            return error_response(request.id, outcome)
-        return ok_response(request.id, outcome)
-
     # ------------------------------------------------------------------
-    async def _batcher(self) -> None:
-        """Collect micro-batches off the admission queue and decide them."""
-        assert self._queue is not None
+    def _schedule_batch(self) -> None:
+        """Have the loop decide the queue: at once when no window is set
+        or a full batch is queued, else when the straggler window ends."""
+        queue = self._queue
+        if not (self._batching and queue):
+            return
+        handle = self._batch_handle
         loop = asyncio.get_running_loop()
-        while True:
-            first = await self._queue.get()
-            batch: list[tuple[AllocateParams, asyncio.Future]] = [first]
-            if self.batch_window_s > 0:
-                deadline = loop.time() + self.batch_window_s
-                while len(batch) < self.max_batch:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), timeout)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                results = self.service.allocate_batch([p for p, _ in batch])
-            except Exception as exc:  # noqa: BLE001 — keep the batcher alive
-                log.exception("batch decision failed")
-                err = ProtocolError(
-                    ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
+        if self.batch_window_s and len(queue) < self.max_batch:
+            if handle is None:
+                self._batch_handle = loop.call_later(
+                    self.batch_window_s, self._decide_batch
                 )
-                results = [err] * len(batch)
-            for (_, fut), result in zip(batch, results):
-                if not fut.done():
-                    fut.set_result(result)
+        elif handle is None or isinstance(handle, asyncio.TimerHandle):
+            if handle is not None:
+                handle.cancel()
+            self._batch_handle = loop.call_soon(self._decide_batch)
+
+    def _decide_batch(self) -> None:
+        """Decide up to ``max_batch`` queued allocates in one
+        ``allocate_batch`` and write their replies."""
+        self._batch_handle = None
+        queue = self._queue
+        batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
+        try:
+            outcomes = self.service.allocate_batch(
+                [request.params for request, _ in batch]
+            )
+        except Exception as exc:  # noqa: BLE001 — a failed batch answers INTERNAL and the daemon keeps serving
+            log.exception("batch decision failed")
+            err = ProtocolError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+            outcomes = [err] * len(batch)
+        _answer(batch, outcomes)
+        self._schedule_batch()
 
     async def _sweeper(self) -> None:
         """Periodically reclaim expired leases."""

@@ -106,6 +106,16 @@ def _check_ppn(
         )
 
 
+def _request(params: AllocateParams) -> AllocationRequest:
+    """The core request for validated allocate params (built only when a
+    policy runs: a memo hit reads none of it)."""
+    return AllocationRequest(
+        n_processes=params.n_processes,
+        ppn=params.ppn,
+        tradeoff=TradeOff.from_alpha(params.alpha),
+    )
+
+
 class _BatchEntry:
     """One successfully decided (not yet granted) batch member."""
 
@@ -451,25 +461,14 @@ class BrokerService:
         policy: str,
         held: frozenset[str],
     ) -> Allocation:
-        request = AllocationRequest(
-            n_processes=params.n_processes,
-            ppn=params.ppn,
-            tradeoff=TradeOff.from_alpha(params.alpha),
-        )
-        # An override swaps in a configured instance; the memo still
-        # keys on the *name* (the override is fixed for this service).
-        chosen: AllocationPolicy | str = self._policy_overrides.get(
-            policy, policy
-        )
         # Stochastic policies must not be memoized — two clients asking
         # twice expect two draws — and are the only rng consumers.
-        memoizable = self.memoize_decisions and policy != "random"
-        if not memoizable:
+        if not self.memoize_decisions or policy == "random":
             _check_ppn(params, snapshot, held)
             return self._broker.request(
-                request,
+                _request(params),
                 rng=self._rng,
-                policy=chosen,
+                policy=self._policy_overrides.get(policy, policy),
                 exclude=held or None,
                 snapshot=snapshot,
             ).allocation
@@ -490,8 +489,13 @@ class BrokerService:
             return hit
         try:
             _check_ppn(params, snapshot, held)
+            # An override swaps in a configured instance; the memo still
+            # keys on the *name* (the override is fixed for this service).
             allocation = self._broker.request(
-                request, policy=chosen, exclude=held or None, snapshot=snapshot
+                _request(params),
+                policy=self._policy_overrides.get(policy, policy),
+                exclude=held or None,
+                snapshot=snapshot,
             ).allocation
         except WaitRecommended:
             raise  # depends on the threshold config, not worth caching

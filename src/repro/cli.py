@@ -22,6 +22,7 @@ output, so scripted callers don't scrape the human-formatted text.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -542,15 +543,7 @@ def client_allocate(client, args: argparse.Namespace) -> int:
         ttl_s=args.ttl_s,
     )
     if args.json:
-        print(json.dumps({
-            "lease_id": grant.lease_id,
-            "policy": grant.policy,
-            "nodes": list(grant.nodes),
-            "procs": dict(grant.procs),
-            "hostfile": grant.hostfile,
-            "ttl_s": grant.ttl_s,
-            "expires_at": grant.expires_at,
-        }, indent=2))
+        print(json.dumps(dataclasses.asdict(grant), indent=2))
         return 0
     print(f"# lease={grant.lease_id} policy={grant.policy} "
           f"ttl={grant.ttl_s:.0f}s")

@@ -3,7 +3,7 @@
 :class:`FederationDaemon` is a :class:`~repro.broker.server.BrokerServer`
 whose service is a :class:`~repro.federation.router.FederationRouter`.
 Every transport feature — JSON lines, pipelining, the bounded
-admission queue, the micro-batcher, the sweeper — is inherited
+admission queue, the batch callback, the sweeper — is inherited
 unchanged (the router duck-types the service surface those drive); the
 only addition is the federation scope of
 :data:`~repro.broker.protocol.OP_TABLE`, whose two router verbs the

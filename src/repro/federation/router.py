@@ -9,7 +9,7 @@ router never pushes snapshots) with a namespaced lease table
 the ``BrokerService`` surface the daemon drives — ``allocate_batch`` /
 ``renew`` / ``release`` / ``reconfigure`` / ``status`` /
 ``sweep_expired`` plus a ``metrics`` object — so the whole asyncio
-transport (admission queue, batcher, sweeper, pipelining) is reused
+transport (admission queue, batch callback, sweeper, pipelining) is reused
 unchanged; :class:`~repro.federation.daemon.FederationDaemon` only adds
 the two router verbs (``shards``, ``resolve``).
 
@@ -288,7 +288,7 @@ class FederationRouter:
     def allocate_batch(
         self, batch: list[AllocateParams]
     ) -> list[dict[str, Any] | ProtocolError]:
-        """Route each request to its best shard (the batcher's entry)."""
+        """Route each request to its best shard (the batch callback's entry)."""
         if not batch:
             return []
         self.metrics.record_batch(len(batch))

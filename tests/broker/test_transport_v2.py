@@ -6,12 +6,16 @@ response.  JSON lines is the only wire format: a ``hello`` asking for
 any other codec is refused and the connection keeps serving.  These
 tests run the real daemon over loopback TCP: negotiation shapes,
 refused codecs, pipelined bursts (including out-of-order completion and
-window-overflow BUSY), transparent re-negotiation after reconnect, and
-the chaos transport's honest JSON-only hello mirror.
+window-overflow BUSY), transparent re-negotiation after reconnect, the
+chaos transport's honest JSON-only hello mirror, and the rules of the
+task-free transport: no task per request, one batch per burst, strict
+alternation without pipelining, framing limits, shutdown answers and
+flow control.
 """
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -22,7 +26,7 @@ from repro.broker import (
     BrokerServer,
     BrokerService,
 )
-from repro.broker.protocol import PROTOCOL_VERSION
+from repro.broker.protocol import MAX_LINE_BYTES, PROTOCOL_VERSION
 from repro.chaos.transport import ScriptedSocketFactory
 from repro.monitor.snapshot import CachedSnapshotSource
 
@@ -310,3 +314,242 @@ class TestChaosTransportMirror:
         with pytest.raises(BrokerError) as err:
             client.hello(pipeline=True)
         assert err.value.code == "BAD_REQUEST"
+
+
+def _line(rid, op, params=None):
+    req = {"v": 1, "id": rid, "op": op}
+    if params is not None:
+        req["params"] = params
+    return (json.dumps(req) + "\n").encode()
+
+
+async def _serving(scenario, *, start_batcher=True):
+    """A started daemon on a fresh service over the shared scenario."""
+    source = CachedSnapshotSource(scenario.snapshot, max_age_s=1e9)
+    server = BrokerServer(BrokerService(source), port=0)
+    await server.start(start_batcher=start_batcher, start_sweeper=False)
+    return server
+
+
+async def _pipelined(port, *, sock=None):
+    """A connection that has negotiated an 8-deep pipeline."""
+    if sock is None:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    else:
+        reader, writer = await asyncio.open_connection(sock=sock)
+    writer.write(_line("h", "hello", {"pipeline": True, "max_inflight": 8}))
+    reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+    assert reply["ok"] is True, reply
+    return reader, writer
+
+
+class TestTaskFreeTransport:
+    """Semantics of the per-connection protocol and its batch callback."""
+
+    def test_burst_creates_no_tasks(self, scenario):
+        """Serving six pipelined allocates and a status starts no task."""
+
+        async def run():
+            server = await _serving(scenario)
+            try:
+                reader, writer = await _pipelined(server.port)
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def factory(loop, coro, **kwargs):
+                    created.append(getattr(coro, "__qualname__", repr(coro)))
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(factory)
+                try:
+                    writer.write(b"".join(
+                        [_line(f"a{i}", "allocate", {"n": 2}) for i in range(6)]
+                        + [_line("s", "status")]
+                    ))
+                    # plain awaits: wait_for would start a task of its own
+                    replies = [json.loads(await reader.readline()) for _ in range(7)]
+                finally:
+                    loop.set_task_factory(None)
+                assert created == []
+                assert sorted(r["id"] for r in replies) == ["a0", "a1", "a2", "a3", "a4", "a5", "s"]
+                assert all(r["ok"] for r in replies), replies
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(asyncio.wait_for(run(), 30.0))
+
+    def test_one_write_burst_is_one_batch(self, scenario):
+        async def run():
+            server = await _serving(scenario)
+            try:
+                reader, writer = await _pipelined(server.port)
+                writer.write(b"".join(
+                    _line(f"a{i}", "allocate", {"n": 2}) for i in range(6)
+                ))
+                for _ in range(6):
+                    reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                    assert reply["ok"] is True, reply
+                assert dict(server.service.metrics.batch_size_hist) == {6: 1}
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_unpipelined_allocate_then_status_answer_in_order(self, scenario):
+        async def run():
+            server = await _serving(scenario)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(_line("a", "allocate", {"n": 2}) + _line("s", "status"))
+                first = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                second = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                assert first["id"] == "a" and first["ok"] is True, first
+                assert second["id"] == "s" and second["ok"] is True, second
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_line_past_stream_limit_closes_after_one_reply(self, scenario):
+        async def run():
+            server = await _serving(scenario)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"x" * (4 * MAX_LINE_BYTES + 2) + b"\n")
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "BAD_REQUEST"
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""  # EOF
+                metrics = server.service.metrics
+                assert metrics.oversized_requests == 1
+                assert metrics.protocol_errors == 1
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_line_between_limits_is_refused_and_connection_serves(self, scenario):
+        async def run():
+            server = await _serving(scenario)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                big = _line("big", "status", {"pad": "y" * (2 * MAX_LINE_BYTES)})
+                assert MAX_LINE_BYTES < len(big) < 4 * MAX_LINE_BYTES
+                writer.write(big + _line("s", "status"))
+                refused = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                assert refused["ok"] is False
+                assert refused["error"]["code"] == "BAD_REQUEST"
+                assert "exceeds" in refused["error"]["message"]
+                served = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                assert served["id"] == "s" and served["ok"] is True
+                assert server.service.metrics.oversized_requests == 1
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_full_batch_does_not_wait_out_the_window(self, scenario):
+        """A straggler window ends early once ``max_batch`` requests queue."""
+
+        async def run():
+            source = CachedSnapshotSource(scenario.snapshot, max_age_s=1e9)
+            server = BrokerServer(
+                BrokerService(source), port=0, batch_window_s=30.0, max_batch=2
+            )
+            await server.start(start_sweeper=False)
+            try:
+                reader, writer = await _pipelined(server.port)
+                writer.write(
+                    _line("a0", "allocate", {"n": 2}) + _line("a1", "allocate", {"n": 2})
+                )
+                for _ in range(2):
+                    reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                    assert reply["ok"] is True, reply
+                assert dict(server.service.metrics.batch_size_hist) == {2: 1}
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_stop_answers_queued_allocates_internal(self, scenario):
+        async def run():
+            server = await _serving(scenario, start_batcher=False)
+            try:
+                reader, writer = await _pipelined(server.port)
+                writer.write(b"".join(
+                    [_line(f"a{i}", "allocate", {"n": 2}) for i in range(3)]
+                    + [_line("s", "status")]
+                ))
+                # the status answers inline; the allocates stay queued
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                assert reply["id"] == "s"
+            finally:
+                await server.stop()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                for _ in range(3)
+            ]
+            assert sorted(r["id"] for r in replies) == ["a0", "a1", "a2"]
+            for r in replies:
+                assert r["error"] == {
+                    "code": "INTERNAL", "message": "server shutting down",
+                }
+            assert server.service.metrics.batches == 0
+            writer.close()
+
+        asyncio.run(run())
+
+    def test_reader_that_stops_reading_backs_up_its_own_writes(self, scenario):
+        """Flow control: the daemon stops reading a peer that does not
+        read its replies, so the peer's own writes queue on its side;
+        every reply then arrives, in order."""
+
+        def small_buffers(sock):
+            # locked socket buffers, so kernel autotuning cannot absorb
+            # the backlog; an accepted socket inherits its listener's
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        async def run():
+            server = await _serving(scenario)
+            try:
+                small_buffers(server._server.sockets[0])
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                small_buffers(sock)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, ("127.0.0.1", server.port)
+                )
+                reader, writer = await _pipelined(server.port, sock=sock)
+                requests = server.service.metrics.requests_by_op
+                ids = [f"s{i}-" + "x" * 1000 for i in range(1000)]
+                writer.write(b"".join(_line(rid, "status") for rid in ids))
+                served = -1
+                for _ in range(100):  # until the daemon stops serving, ≤ 5 s
+                    await asyncio.sleep(0.05)
+                    if requests["status"] == served:
+                        break
+                    served = requests["status"]
+                assert served < len(ids)  # it stopped short: it stopped reading
+                assert writer.transport.get_write_buffer_size() > 0
+                for rid in ids:
+                    reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                    assert reply["ok"] is True
+                    assert reply["id"] == rid
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())

@@ -79,3 +79,54 @@ class TestFederatedRoundTrip:
         assert status["protocol_version"] == PROTOCOL_VERSION
         assert status["policy"] == "federated"
         assert set(status["federation"]["shards"]) == {"shard1", "shard2"}
+
+
+def _cross_shard_n(client) -> int:
+    """More processes than the largest shard holds free, fewer than all."""
+    frees = sorted(row["free_procs"] for row in client.shards()["shards"])
+    return frees[-1] + max(2, frees[0] // 4)
+
+
+class TestGrantFields:
+    """The client keeps what a federation grant says."""
+
+    def test_cross_shard_grant_names_its_member_shards(self, client):
+        grant = client.allocate(_cross_shard_n(client), ttl_s=30.0)
+        try:
+            assert grant.lease_id.startswith("x:")
+            assert grant.shards is not None and len(grant.shards) >= 2
+            assert set(grant.shards) <= {"shard1", "shard2"}
+            assert all(grant.shards.values())
+            assert grant.snapshot_time is not None
+        finally:
+            client.release(grant.lease_id)
+
+    def test_single_shard_grant_has_no_members(self, client):
+        grant = client.allocate(2, ttl_s=30.0)
+        try:
+            assert grant.shards is None
+            assert grant.snapshot_time is not None
+            assert grant.total_cost is not None
+            assert grant.compute_cost is not None
+            assert grant.network_cost is not None
+        finally:
+            client.release(grant.lease_id)
+
+    def test_cli_json_prints_them(self, daemon, client, capsys):
+        import json
+
+        from repro.cli import main
+
+        n = _cross_shard_n(client)
+        rc = main(["client", "--port", str(daemon.port), "allocate",
+                   "-n", str(n), "--ttl-s", "30", "--json"])
+        assert rc == 0
+        grant = json.loads(capsys.readouterr().out)
+        try:
+            assert grant["lease_id"].startswith("x:")
+            assert len(grant["shards"]) >= 2
+            for key in ("snapshot_time", "total_cost", "compute_cost",
+                        "network_cost"):
+                assert key in grant
+        finally:
+            client.release(grant["lease_id"])

@@ -11,14 +11,11 @@ checks:
   ``# lint: allow(ERR002) — <why>``).  The rationale is mandatory:
   every must-not-die catch in the tree documents why dying is worse
   than catching.
-* ``ERR003``–``ERR005`` — the :class:`~repro.broker.protocol.ErrorCode`
-  enum stays exhaustive across the whole package.  Every declared code
-  must be **produced** somewhere on the server side (service, daemon,
-  lease table, executor, chaos transport) and **known** to the client
-  library's ``KNOWN_ERROR_CODES`` registry; registry entries that no
-  longer exist in the enum are drift.  A code that can be sent but
-  never produced is dead protocol surface; a code the client has never
-  heard of turns a typed denial back into an anonymous failure.
+* ``ERR003`` — the :class:`~repro.broker.protocol.ErrorCode` enum
+  stays exhaustive across the whole package: every declared code must
+  be **produced** somewhere on the server side (service, daemon, lease
+  table, executor, chaos transport).  A code that can be sent but never
+  produced is dead protocol surface.
 """
 
 from __future__ import annotations
@@ -33,18 +30,10 @@ RULES = (
     RuleInfo("ERR001", "typed-errors", "bare except without justification"),
     RuleInfo("ERR002", "typed-errors", "broad except Exception/BaseException without justification"),
     RuleInfo("ERR003", "typed-errors", "ErrorCode never produced server-side"),
-    RuleInfo("ERR004", "typed-errors", "ErrorCode missing from the client registry"),
-    RuleInfo("ERR005", "typed-errors", "client registry entry not in the ErrorCode enum"),
 )
 
 #: module that declares the ErrorCode enum
 PROTOCOL_MODULE = "repro.broker.protocol"
-
-#: module whose ``KNOWN_ERROR_CODES`` must cover the enum
-CLIENT_MODULE = "repro.broker.client"
-
-#: name of the client-side registry assignment the cross-check reads
-CLIENT_REGISTRY = "KNOWN_ERROR_CODES"
 
 #: modules that may legitimately produce wire error codes
 SERVER_MODULES = (
@@ -56,9 +45,6 @@ SERVER_MODULES = (
     "repro.chaos.transport",
     "repro.federation.router",
 )
-
-#: codes the client mints locally (transport failures, not wire codes)
-CLIENT_ONLY_CODES = frozenset({"CONNECT", "TIMEOUT"})
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +115,6 @@ def check_project(project: Project) -> list[Finding]:
         return []
 
     produced = _produced_codes(project, exclude_enum_in=protocol)
-    registry = _client_registry(project)
 
     findings: list[Finding] = []
     for name, lineno in sorted(members.items()):
@@ -146,58 +131,6 @@ def check_project(project: Project) -> list[Finding]:
                     hint="raise it (service/server/leases/executor) or "
                     "retire the code from the enum",
                     context=f"ErrorCode.{name}",
-                )
-            )
-    if registry is None:
-        client = project.find_module(CLIENT_MODULE)
-        if client is not None:
-            findings.append(
-                Finding(
-                    path=client.rel,
-                    line=1,
-                    col=0,
-                    rule="ERR004",
-                    severity="error",
-                    message=f"client declares no {CLIENT_REGISTRY} registry; "
-                    "the enum cannot be cross-checked",
-                    hint=f"add '{CLIENT_REGISTRY} = frozenset({{...}})' "
-                    "listing every code the client understands",
-                    context="<module>",
-                )
-            )
-        return findings
-
-    reg_codes, reg_line, client_file = registry
-    for name, lineno in sorted(members.items()):
-        if name not in reg_codes:
-            findings.append(
-                Finding(
-                    path=client_file.rel,
-                    line=reg_line,
-                    col=0,
-                    rule="ERR004",
-                    severity="error",
-                    message=f"ErrorCode.{name} is missing from the client's "
-                    f"{CLIENT_REGISTRY} registry",
-                    hint="add it so callers can branch on the code "
-                    "instead of string-matching messages",
-                    context=CLIENT_REGISTRY,
-                )
-            )
-    for name in sorted(reg_codes):
-        if name not in members and name not in CLIENT_ONLY_CODES:
-            findings.append(
-                Finding(
-                    path=client_file.rel,
-                    line=reg_line,
-                    col=0,
-                    rule="ERR005",
-                    severity="error",
-                    message=f"client registry lists {name!r}, which is not "
-                    "an ErrorCode member (nor a client-only code)",
-                    hint="remove the stale entry or add the code to "
-                    "broker/protocol.py",
-                    context=CLIENT_REGISTRY,
                 )
             )
     return findings
@@ -259,27 +192,3 @@ def _produced_codes(
                 if node.value.isupper():
                     produced.add(node.value)
     return produced
-
-
-def _client_registry(
-    project: Project,
-) -> tuple[set[str], int, SourceFile] | None:
-    """``(codes, lineno, file)`` for the client registry, if declared."""
-    client = project.find_module(CLIENT_MODULE)
-    if client is None or client.tree is None:
-        return None
-    for node in ast.walk(client.tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == CLIENT_REGISTRY
-            for t in node.targets
-        ):
-            continue
-        codes = {
-            c.value
-            for c in ast.walk(node.value)
-            if isinstance(c, ast.Constant) and isinstance(c.value, str)
-        }
-        return codes, node.lineno, client
-    return None

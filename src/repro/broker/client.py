@@ -34,40 +34,6 @@ from typing import Any, Callable, Mapping
 
 from repro.broker.protocol import OP_TABLE, PROTOCOL_VERSION, encode_request
 
-#: every error code this client understands: the full server-side
-#: :class:`~repro.broker.protocol.ErrorCode` enum plus the two codes the
-#: client mints locally (``CONNECT``/``TIMEOUT`` — transport failures
-#: that never crossed the wire).  ``repro lint`` cross-checks this
-#: registry against the enum (rules ERR004/ERR005), so a code added to
-#: the protocol without teaching the client fails the build.
-KNOWN_ERROR_CODES = frozenset(
-    {
-        # transport (client-side)
-        "CONNECT",
-        "TIMEOUT",
-        # request validation
-        "BAD_REQUEST",
-        "UNSUPPORTED_VERSION",
-        "UNKNOWN_OP",
-        # admission / placement
-        "BUSY",
-        "NO_CAPACITY",
-        "WAIT",
-        "MONITOR_STALE",
-        "SHARD_DOWN",
-        # lease lifecycle
-        "UNKNOWN_LEASE",
-        "EXPIRED_LEASE",
-        # reconfiguration
-        "NODE_CONFLICT",
-        "BAD_SWAP",
-        "STALE_PLAN",
-        "RECONFIG_FAILED",
-        # server bugs
-        "INTERNAL",
-    }
-)
-
 #: codes where retrying after a backoff can plausibly succeed
 TRANSIENT_ERROR_CODES = frozenset(
     {"CONNECT", "TIMEOUT", "BUSY", "MONITOR_STALE", "SHARD_DOWN"}

@@ -44,13 +44,13 @@ from repro.broker.protocol import (
     RenewParams,
     StatusParams,
 )
-from repro.elastic.cost import MigrationCostConfig, SnapshotMigrationCost
+from repro.elastic.cost import SnapshotMigrationCost
 from repro.elastic.executor import (
     ReconfigError,
     TwoPhaseExecutor,
     release_quietly,
 )
-from repro.elastic.gate import GateConfig, PlanGate
+from repro.elastic.gate import PlanGate
 from repro.elastic.plan import ReconfigPlan, ReconfigPlanner
 from repro.core.broker import ResourceBroker, WaitRecommended
 from repro.core.policies import (
@@ -81,6 +81,9 @@ _TOKEN_MEMO_CAP = 4096
 
 #: how many (request, held-set) decisions the lineage-keyed memo holds
 _DECISION_MEMO_CAP = 4096
+
+#: most passes of the batch solver's order-swap improvement
+BATCH_IMPROVE_PASSES = 2
 
 
 def _check_ppn(
@@ -159,15 +162,12 @@ class _SnapshotCoster:
     assignment cannot race).
     """
 
-    def __init__(self, config: MigrationCostConfig | None = None) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.snapshot: ClusterSnapshot | None = None
 
     def migration_cost_s(self, plan: ReconfigPlan) -> float:
         assert self.snapshot is not None, "set .snapshot before evaluating"
-        return SnapshotMigrationCost(
-            self.snapshot, self.config
-        ).migration_cost_s(plan)
+        return SnapshotMigrationCost(self.snapshot).migration_cost_s(plan)
 
 
 class BrokerService:
@@ -193,9 +193,6 @@ class BrokerService:
         rng: np.random.Generator | None = None,
         memoize_decisions: bool = True,
         batch_improve: bool = True,
-        batch_improve_passes: int = 2,
-        gate_config: GateConfig | None = None,
-        migration_cost_config: MigrationCostConfig | None = None,
         quarantine: NodeQuarantine | None = None,
         migrate_hook: Callable[[Any], None] | None = None,
         lease_namespace: str = "",
@@ -234,7 +231,6 @@ class BrokerService:
         self.memoize_decisions = memoize_decisions
         #: run the pairwise order-swap improvement pass over each batch
         self.batch_improve = batch_improve
-        self.batch_improve_passes = batch_improve_passes
         # decision memo for the lineage in _memo_lineage: key → outcome
         self._decision_memo: OrderedDict[
             _DecisionKey, Allocation | AllocationError
@@ -242,8 +238,8 @@ class BrokerService:
         self._memo_lineage: tuple[int, int] | None = None
         # -- elastic reconfiguration plumbing ---------------------------
         self.planner = ReconfigPlanner()
-        self._coster = _SnapshotCoster(migration_cost_config)
-        self.gate = PlanGate(self._coster, gate_config)
+        self._coster = _SnapshotCoster()
+        self.gate = PlanGate(self._coster)
         self._executor = TwoPhaseExecutor(
             self.leases, reserve_ttl_s=default_ttl_s
         )
@@ -410,7 +406,7 @@ class BrokerService:
         Equation-4 cost — the batch total can only go down, and the loop
         terminates because the total is bounded below.
         """
-        for _ in range(max(0, self.batch_improve_passes)):
+        for _ in range(BATCH_IMPROVE_PASSES):
             improved = False
             for pos in range(len(solved) - 1):
                 a, b = solved[pos], solved[pos + 1]

@@ -17,6 +17,8 @@ into NumPy arrays and replays both algorithms as array operations:
   filled with the worst observed load) and Equation-3 vector, all
   normalized over exactly the usable node set (§3.2.1).  Memoized on
   the snapshot per (node subset, weights, normalization, ppn/load-key).
+  Its Equations 1–2 come from :func:`slice_loads`, which the federation
+  router's fleet-wide pass calls too.
 * :func:`generate_all_candidates_fast` — Algorithm 1 for *all* |V|
   starting nodes at once: one addition-cost matrix
   ``A = α·CL[None, :] + β·NL``, one stable per-row lexsort, one
@@ -53,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -311,6 +313,70 @@ def load_state(
     return state
 
 
+class SliceLoads(NamedTuple):
+    """Equations 1–2 over one node list, as :func:`slice_loads` returns them."""
+
+    #: the nodes' store columns, in list order
+    cols: np.ndarray
+    #: store column → position in the list, or -1 for a node outside it
+    pos: np.ndarray
+    #: positions in ``store.pairs`` of the measured pairs with both ends
+    #: in the list, in the store's sorted-key order
+    pairs: np.ndarray
+    #: Equation-1 ``CL`` per node, in list order
+    cl: np.ndarray
+    #: Equation-2 ``NL`` per pair of ``pairs``
+    nl: np.ndarray
+
+
+def slice_loads(
+    store: ArrayStore,
+    names: Sequence[str],
+    compute_weights: ComputeWeights,
+    network_weights: NetworkWeights,
+    method: str = "mean",
+) -> SliceLoads:
+    """Equations 1–2 over ``names``, bit for bit the dict reference.
+
+    ``cl`` equals :func:`~repro.core.compute_load.compute_loads` and
+    ``nl`` :func:`~repro.core.network_load.network_loads` called with
+    ``nodes=names``: both normalize over exactly the listed nodes and
+    the measured pairs among them, with :func:`_normalized`'s reference
+    sums.  :func:`load_state` slices with it, and so does the federation
+    router's fleet-wide pass.
+    """
+    if method not in NORMALIZERS:
+        raise ValueError(
+            f"unknown normalization {method!r}; choose from {sorted(NORMALIZERS)}"
+        )
+    v = len(names)
+    cols = np.fromiter(
+        (store.index[n] for n in names), dtype=np.intp, count=v
+    )
+
+    # Equation 1 (compute_loads: to_cost + saw_scores) over the columns
+    cl = np.zeros(v, dtype=np.float64)
+    for i, attr in enumerate(ATTRIBUTES):
+        w = float(compute_weights.weights.get(attr.name, 0.0))
+        if w == 0.0 or v == 0:
+            continue
+        norm = _normalized(store.raw[i, cols], method)
+        if attr.criterion is Criterion.MAXIMIZE:
+            norm = float(norm.max()) - norm
+        cl += w * norm
+
+    # Equation 2 (combine_pair_costs) over the pairs inside the list
+    pos = np.full(len(store.nodes), -1, dtype=np.intp)
+    pos[cols] = np.arange(v)
+    pairs = np.flatnonzero(
+        (pos[store.pair_ii] >= 0) & (pos[store.pair_jj] >= 0)
+    )
+    nl = network_weights.w_lt * _normalized(
+        store.lat[pairs], method
+    ) + network_weights.w_bw * _normalized(store.bwc[pairs], method)
+    return SliceLoads(cols, pos, pairs, cl, nl)
+
+
 def _slice(
     snapshot: ClusterSnapshot,
     names: tuple[str, ...],
@@ -321,45 +387,20 @@ def _slice(
     load_key: str,
     method: str,
 ) -> LoadState:
-    if method not in NORMALIZERS:
-        raise ValueError(
-            f"unknown normalization {method!r}; choose from {sorted(NORMALIZERS)}"
-        )
     store = array_store(snapshot)
+    loads = slice_loads(store, names, compute_weights, network_weights, method)
     v = len(names)
-    cols = np.fromiter(
-        (store.index[n] for n in names), dtype=np.intp, count=v
-    )
-
-    # Equation 1 (compute_loads: to_cost + saw_scores) over the columns
-    cl_vec = np.zeros(v, dtype=np.float64)
-    for i, attr in enumerate(ATTRIBUTES):
-        w = float(compute_weights.weights.get(attr.name, 0.0))
-        if w == 0.0 or v == 0:
-            continue
-        norm = _normalized(store.raw[i, cols], method)
-        if attr.criterion is Criterion.MAXIMIZE:
-            norm = float(norm.max()) - norm
-        cl_vec += w * norm
-
-    # Equation 2 (combine_pair_costs) over pairs inside the slice
-    pos = np.full(len(store.nodes), -1, dtype=np.intp)
-    pos[cols] = np.arange(v)
-    ii, jj = pos[store.pair_ii], pos[store.pair_jj]
-    pair_sel = np.flatnonzero((ii >= 0) & (jj >= 0))
-    ii, jj = ii[pair_sel], jj[pair_sel]
-    nl_vals = network_weights.w_lt * _normalized(
-        store.lat[pair_sel], method
-    ) + network_weights.w_bw * _normalized(store.bwc[pair_sel], method)
-    penalty = float(nl_vals.max()) if len(nl_vals) else 0.0
+    ii = loads.pos[store.pair_ii[loads.pairs]]
+    jj = loads.pos[store.pair_jj[loads.pairs]]
+    penalty = float(loads.nl.max()) if len(loads.nl) else 0.0
     nl_mat = np.full((v, v), penalty, dtype=np.float64)
     np.fill_diagonal(nl_mat, 0.0)
-    nl_mat[ii, jj] = nl_vals
-    nl_mat[jj, ii] = nl_vals
+    nl_mat[ii, jj] = loads.nl
+    nl_mat[jj, ii] = loads.nl
 
     # Equation 3, unless the request fixes processes per node
     if ppn is None:
-        pc_vec = store.proc_counts(snapshot, load_key)[cols]
+        pc_vec = store.proc_counts(snapshot, load_key)[loads.cols]
     elif ppn <= 0:
         raise ValueError(f"ppn must be positive, got {ppn}")
     else:
@@ -368,12 +409,12 @@ def _slice(
     return LoadState(
         nodes=names,
         index={n: i for i, n in enumerate(names)},
-        cl_vec=cl_vec,
+        cl_vec=loads.cl,
         nl_mat=nl_mat,
         missing_penalty=penalty,
         pc_vec=pc_vec,
         store=store,
-        pair_sel=pair_sel,
+        pair_sel=loads.pairs,
     )
 
 

@@ -12,22 +12,24 @@ The CL/NL means come from one **fleet-wide** Equation-1/2 pass rather
 than from per-shard states: Equation 1/2 normalize *within* the ranked
 set, so per-shard means would hover around 1.0 for every shard and
 carry no cross-shard signal — the global pass makes subtree means
-directly comparable.  The pass reads the raw inputs from the
-snapshot's :class:`~repro.core.arrays.ArrayStore` — which
+directly comparable.  The pass is the allocator's own,
+:func:`~repro.core.arrays.slice_loads` over the live nodes, so the
+router ranks shards on exactly the CL and NL values the allocator
+normalizes, bit for bit the dict reference.  It reads the snapshot's
+:class:`~repro.core.arrays.ArrayStore`, which
 :func:`~repro.monitor.delta.apply_snapshot_delta` already patched in
-O(changed) — and runs as a handful of numpy operations, so the router
-pays no O(V) Python work per snapshot.
+O(changed), so the router never re-reads a node record or pair value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.arrays import ArrayStore, array_store
-from repro.core.attributes import ATTRIBUTES, Criterion
+from repro.core.arrays import ArrayStore, array_store, slice_loads
 from repro.core.weights import ComputeWeights, NetworkWeights
 from repro.monitor.snapshot import ClusterSnapshot
 
@@ -62,53 +64,7 @@ class ShardAggregate:
 
     def as_dict(self) -> dict[str, float | int | str]:
         """JSON-ready form for the ``shards`` router verb."""
-        return {
-            "shard": self.shard,
-            "n_nodes": self.n_nodes,
-            "usable_nodes": self.usable_nodes,
-            "total_cores": self.total_cores,
-            "free_procs": self.free_procs,
-            "mean_cl": self.mean_cl,
-            "mean_nl": self.mean_nl,
-            "quarantined": self.quarantined,
-        }
-
-
-def _combine_cl(raw: np.ndarray, cols: np.ndarray, cw: ComputeWeights) -> np.ndarray:
-    """Equation 1 over ``raw``'s ``cols`` — vectorized ``compute_loads``.
-
-    Mirrors ``to_cost`` (mean-normalize, complement maximization
-    attributes to the normalized maximum) and ``saw_scores`` (weight and
-    sum); the means are NumPy's, the router's own scoring arithmetic.
-    """
-    v = len(cols)
-    cl = np.zeros(v, dtype=np.float64)
-    if v == 0:
-        return cl
-    for i, attr in enumerate(ATTRIBUTES):
-        w = float(cw.weights.get(attr.name, 0.0))
-        if w == 0.0:
-            continue
-        column = raw[i, cols]
-        mean = float(column.mean())
-        norm = column / mean if mean != 0.0 else np.zeros(v, dtype=np.float64)
-        if attr.criterion is Criterion.MAXIMIZE:
-            norm = norm.max() - norm
-        cl += w * norm
-    return cl
-
-
-def _combine_nl(lat: np.ndarray, bwc: np.ndarray, nw: NetworkWeights) -> np.ndarray:
-    """Equation 2 over pair vectors — vectorized ``combine_pair_costs``
-    with mean normalization."""
-    e = len(lat)
-    if e == 0:
-        return np.zeros(0, dtype=np.float64)
-    lat_mean = float(lat.mean())
-    bwc_mean = float(bwc.mean())
-    lat_n = lat / lat_mean if lat_mean != 0.0 else np.zeros(e, dtype=np.float64)
-    bwc_n = bwc / bwc_mean if bwc_mean != 0.0 else np.zeros(e, dtype=np.float64)
-    return nw.w_lt * lat_n + nw.w_bw * bwc_n
+        return dataclasses.asdict(self)
 
 
 class PartitionedLoadState:
@@ -125,11 +81,6 @@ class PartitionedLoadState:
         self,
         snapshot: ClusterSnapshot,
         partition: Mapping[str, Iterable[str]],
-        *,
-        compute_weights: ComputeWeights | None = None,
-        network_weights: NetworkWeights | None = None,
-        ppn: int | None = None,
-        load_key: str = "m1",
     ) -> None:
         if not partition:
             raise ValueError("partition must name at least one shard")
@@ -140,10 +91,6 @@ class PartitionedLoadState:
         for shard, nodes in self.partition.items():
             if not nodes:
                 raise ValueError(f"shard {shard!r} has no nodes")
-        self._cw = compute_weights or ComputeWeights()
-        self._nw = network_weights or NetworkWeights()
-        self._ppn = ppn
-        self._load_key = load_key
         self._live_list: list[str] | None = None
         self._live_set: frozenset[str] = frozenset()
         self._fleet: _FleetPass | None = None
@@ -179,26 +126,16 @@ class PartitionedLoadState:
         """The fleet CL/NL/PC vectors over the live nodes, once per instance."""
         if self._fleet is None:
             store = array_store(self.snapshot)
-            live = self._live()
-            cols = np.fromiter(
-                (store.index[n] for n in live), dtype=np.intp, count=len(live)
+            loads = slice_loads(
+                store, self._live(), ComputeWeights(), NetworkWeights()
             )
-            pos = np.full(len(store.nodes), -1, dtype=np.intp)
-            pos[cols] = np.arange(len(cols))
-            pairs = np.flatnonzero(
-                (pos[store.pair_ii] >= 0) & (pos[store.pair_jj] >= 0)
-            )
-            if self._ppn is None:
-                pc = store.proc_counts(self.snapshot, self._load_key)
-            else:
-                pc = np.full(len(store.nodes), self._ppn, dtype=np.int64)
             self._fleet = (
                 store,
-                pos,
-                _combine_cl(store.raw, cols, self._cw),
-                pairs,
-                _combine_nl(store.lat[pairs], store.bwc[pairs], self._nw),
-                pc,
+                loads.pos,
+                loads.cl,
+                loads.pairs,
+                loads.nl,
+                store.proc_counts(self.snapshot, "m1"),
             )
         return self._fleet
 

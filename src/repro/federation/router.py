@@ -23,14 +23,14 @@ prefix, so they never touch a snapshot at all.
 
 Jobs too big for any single shard take the **cross-shard path**: the
 request is split greedily over the ranked shards and reserved on each
-with a short TTL (the same reserve/rollback discipline as
-:class:`~repro.elastic.executor.TwoPhaseExecutor` — rollback reuses its
-:func:`~repro.elastic.executor.release_quietly`), then committed by
-renewing every reservation to the real TTL.  Any failure in either
-phase — a shard denying its slice, a shard dying mid-commit — rolls
-back every reservation on every surviving shard, so the grant is atomic:
-all shards or none, and even a router crash cannot strand nodes past
-one sweep interval thanks to the reserve TTL.
+with a short TTL (``RESERVE_TTL_S``), the same reserve/rollback
+discipline as :class:`~repro.elastic.executor.TwoPhaseExecutor` —
+rollback reuses its :func:`~repro.elastic.executor.release_quietly` —
+then committed by renewing every reservation to the real TTL.  Any
+failure in either phase — a shard denying its slice, a shard dying
+mid-commit — rolls back every reservation on every surviving shard, so
+the grant is atomic: all shards or none, and even a router crash cannot
+strand nodes past one sweep interval thanks to the reserve TTL.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.broker.metrics import BrokerMetrics
@@ -59,7 +59,6 @@ from repro.broker.service import BrokerService
 from repro.core.arrays import PRUNE_KEEP_DEFAULT, PRUNE_THRESHOLD_DEFAULT
 from repro.core.partition import PartitionedLoadState, ShardAggregate
 from repro.core.policies import NetworkLoadAwarePolicy
-from repro.core.weights import ComputeWeights, NetworkWeights
 from repro.elastic.executor import release_quietly
 from repro.util.atomic import atomic_between_awaits
 from repro.monitor.slicing import ShardSnapshotSource
@@ -71,6 +70,13 @@ CROSS_SHARD_PREFIX = "x"
 
 #: how many idempotency tokens the router remembers (LRU)
 _TOKEN_MEMO_CAP = 4096
+
+#: TTL of a cross-shard reservation until its commit renews it: a router
+#: that dies between the phases strands nothing past one shard sweep
+RESERVE_TTL_S = 15.0
+
+#: the α the ``shards`` verb scores shards with
+SHARDS_ALPHA = 0.3
 
 
 @dataclass
@@ -108,12 +114,6 @@ class FederationRouter:
         services: Mapping[str, BrokerService],
         *,
         clock: Callable[[], float] = time.monotonic,
-        reserve_ttl_s: float = 15.0,
-        default_alpha: float = 0.3,
-        compute_weights: ComputeWeights | None = None,
-        network_weights: NetworkWeights | None = None,
-        ppn: int | None = None,
-        load_key: str = "m1",
         commit_hook: Callable[[str], None] | None = None,
     ) -> None:
         if not partition:
@@ -122,10 +122,6 @@ class FederationRouter:
             raise ValueError(
                 f"partition shards {sorted(partition)} != "
                 f"service shards {sorted(services)}"
-            )
-        if reserve_ttl_s <= 0:
-            raise ValueError(
-                f"reserve_ttl_s must be positive, got {reserve_ttl_s}"
             )
         for sid in partition:
             if not sid or ":" in sid or sid == CROSS_SHARD_PREFIX:
@@ -146,12 +142,6 @@ class FederationRouter:
             sid: Shard(sid, services[sid]) for sid in self.partition
         }
         self._clock = clock
-        self.reserve_ttl_s = reserve_ttl_s
-        self.default_alpha = default_alpha
-        self._cw = compute_weights
-        self._nw = network_weights
-        self._ppn = ppn
-        self._load_key = load_key
         self.commit_hook = commit_hook
         self.metrics = BrokerMetrics()
         # router-level counters (shard services keep their own metrics)
@@ -214,14 +204,7 @@ class FederationRouter:
         except SnapshotUnavailableError as exc:
             raise ProtocolError(ErrorCode.MONITOR_STALE, str(exc)) from None
         if snapshot is not self._plist_snapshot or self._plist is None:
-            self._plist = PartitionedLoadState(
-                snapshot,
-                self.partition,
-                compute_weights=self._cw,
-                network_weights=self._nw,
-                ppn=self._ppn,
-                load_key=self._load_key,
-            )
+            self._plist = PartitionedLoadState(snapshot, self.partition)
             self._plist_snapshot = snapshot
         return self._plist
 
@@ -439,7 +422,7 @@ class FederationRouter:
                     ppn=params.ppn,
                     alpha=params.alpha,
                     policy=params.policy,
-                    ttl_s=self.reserve_ttl_s,
+                    ttl_s=RESERVE_TTL_S,
                     token=self._sub_token(params.token, sid),
                     priority=params.priority,
                 )
@@ -681,7 +664,7 @@ class FederationRouter:
                     sid, held=held, quarantined=quarantined
                 )
                 row.update(agg.as_dict())
-                row["score"] = self._score(agg, self.default_alpha)
+                row["score"] = self._score(agg, SHARDS_ALPHA)
             rows.append(row)
         return {
             "shards": rows,
@@ -762,9 +745,7 @@ def build_federation(
     partition: Mapping[str, tuple[str, ...]],
     *,
     clock: Callable[[], float] = time.monotonic,
-    reserve_ttl_s: float = 15.0,
     commit_hook: Callable[[str], None] | None = None,
-    router_ppn: int | None = None,
     **service_kwargs: Any,
 ) -> FederationRouter:
     """Wire a full federation: sliced sources, namespaced shard services.
@@ -805,7 +786,5 @@ def build_federation(
         partition,
         services,
         clock=clock,
-        reserve_ttl_s=reserve_ttl_s,
-        ppn=router_ppn,
         commit_hook=commit_hook,
     )

@@ -9,8 +9,8 @@ from here.  Three implementations share one interface:
 * :class:`MemoryStore` — in-memory but *serialized*: records are
   JSON-encoded at ``put`` and decoded at ``get``, giving FileStore's
   isolation and corruption semantics without the filesystem, plus an
-  async surface (:class:`AsyncSharedStore`) so shards and the federation
-  router can share monitor state from coroutine daemons;
+  async surface (:class:`AsyncSharedStore`) for coroutine code, which
+  no daemon in the package uses;
 * :class:`FileStore` — one JSON file per key under a directory, matching
   the paper's "each node daemon writes its data to the shared file
   system" literally (useful for inspecting runs on disk).
@@ -24,7 +24,7 @@ import re
 import tempfile
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 
 class StoreCorruptError(Exception):
@@ -77,11 +77,12 @@ class SharedStore(ABC):
 class AsyncSharedStore(ABC):
     """Awaitable counterpart of :class:`SharedStore`.
 
-    Coroutine daemons (the federation router, shard servers) must not
-    call a store that can block the event loop; this surface makes the
-    contract explicit.  Backends whose operations are already
-    non-blocking (:class:`MemoryStore`) implement both interfaces over
-    the same data.
+    Coroutine code must not call a store that can block the event loop;
+    this surface makes that contract explicit.  Backends whose
+    operations are already non-blocking (:class:`MemoryStore`) implement
+    both interfaces over the same data.  Nothing in the package awaits
+    it today: the broker and federation daemons read monitor state as
+    snapshots, not store records.
     """
 
     @abstractmethod

@@ -128,9 +128,11 @@ class TestBatchNoWorseThanSequential:
             raw_cost(grant_of(r), alpha)
             for r in improved.allocate_batch(batch)
         )
-        assert improved_total <= plain_total + 1e-9
+        # the pass is live on this batch: greedy arrival order leaves
+        # swaps that strictly lower the summed raw cost (2.017 → 1.441)
+        assert improved_total < plain_total
         assert plain.metrics.batch_swaps_adopted == 0
-        assert improved.metrics.batch_swaps_adopted >= 0
+        assert improved.metrics.batch_swaps_adopted >= 1
         assert "batch_swaps_adopted" in improved.metrics.snapshot()
 
 

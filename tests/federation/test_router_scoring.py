@@ -4,20 +4,23 @@ The router ranks shards off :class:`PartitionedLoadState` aggregates
 memoized per snapshot.  These tests recompute every shard's score from
 scratch — one uncached fleet-wide Equation-1/2 pass, plain Python means
 per subtree — and require the cached ranking to agree exactly, on the
-paper's §5 evaluation topology.  Quarantine avoidance and denial
-spill-over ride on the same fixtures.
+paper's §5 evaluation topology.  The fleet pass itself must equal the
+dict reference's Equations 1–2 bit for bit.  Quarantine avoidance and
+denial spill-over ride on the same fixtures.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.broker.protocol import AllocateParams, ErrorCode, ProtocolError
 from repro.core.compute_load import compute_loads
 from repro.core.network_load import network_loads
 from repro.core.weights import ComputeWeights, NetworkWeights
-from repro.federation import snapshot_switches, subtree_partition
+from repro.federation import build_federation
 from repro.monitor.quarantine import NodeQuarantine
+from tests.core.test_array_equivalence import random_snapshot
 from tests.federation.conftest import TTL, cross_shard_n, make_federation
 
 ALPHAS = (0.1, 0.3, 0.5, 0.9)
@@ -88,6 +91,35 @@ class TestScoringAgreesWithBruteForce:
         )[0]
         assert isinstance(huge, ProtocolError)
         assert huge.code == ErrorCode.NO_CAPACITY
+
+
+def _bits(values):
+    return {key: float(v).hex() for key, v in values.items()}
+
+
+class TestFleetPassEqualsReference:
+    """The router scores shards on the allocator's own Equations 1–2."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fleet_pass_is_the_dict_reference(self, seed):
+        rng = np.random.default_rng(45_000 + seed)
+        snap = random_snapshot(
+            rng, 40, missing_fraction=0.2, dead_fraction=0.15
+        )
+        names = sorted(snap.nodes)
+        partition = {"a": tuple(names[:20]), "b": tuple(names[20:])}
+        router = build_federation(lambda: snap, partition)
+        store, pos, cl, pairs, nl, _ = router._partitioned()._fleet_pass()
+
+        live = [n for n in snap.nodes if n in snap.livehosts]
+        assert len(live) < len(snap.nodes)  # dead nodes drop out
+        expected_cl = compute_loads(snap, ComputeWeights(), nodes=live)
+        expected_nl = network_loads(snap, NetworkWeights(), nodes=live)
+        assert len(expected_nl) < len(live) * (len(live) - 1) // 2
+        got_cl = {n: cl[pos[store.index[n]]] for n in live}
+        got_nl = dict(zip([store.pairs[p] for p in pairs.tolist()], nl))
+        assert _bits(got_cl) == _bits(expected_cl)
+        assert _bits(got_nl) == _bits(expected_nl)
 
 
 class TestQuarantineAvoidance:

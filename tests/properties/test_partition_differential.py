@@ -4,10 +4,9 @@
 ``apply_snapshot_delta`` patches instead of rebuilding.  Over randomized
 drift sequences (the delta differential's ``DRIFT_MIXES``) the shard
 aggregates computed on the patched snapshot must equal, bit for bit,
-those of a brand-new snapshot holding the same facts — with and without
-an explicit ``ppn``, under held-node exclusions.  The Equation-3 counts
-the store patches per load key are pinned the same way through
-``load_state``.
+those of a brand-new snapshot holding the same facts, under held-node
+exclusions.  The Equation-3 counts the store patches per load key are
+pinned the same way through ``load_state``.
 """
 
 from __future__ import annotations
@@ -60,12 +59,9 @@ def test_aggregates_over_patched_store_match_fresh_build(seed, mix):
         assert derived_cache(snap)[STORE_KEY] is not old_store  # patched
         fresh = _fresh_copy(snap)
         held = frozenset(rng.choice(names, size=2, replace=False).tolist())
-        for ppn in (None, 2):
-            patched = PartitionedLoadState(snap, partition, ppn=ppn)
-            rebuilt = PartitionedLoadState(fresh, partition, ppn=ppn)
-            assert patched.aggregates(held=held) == rebuilt.aggregates(
-                held=held
-            )
+        patched = PartitionedLoadState(snap, partition)
+        rebuilt = PartitionedLoadState(fresh, partition)
+        assert patched.aggregates(held=held) == rebuilt.aggregates(held=held)
 
 
 @pytest.mark.parametrize("load_key", ["m1", "m15"])

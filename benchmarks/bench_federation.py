@@ -118,10 +118,10 @@ class _DriftingSource:
     """A push-style monitor: each tick serves a delta-patched snapshot.
 
     This is the shape :class:`~repro.monitor.snapshot.CachedSnapshotSource`
-    produces on every value-only refresh — snapshots chained by stashed
-    step deltas — so both the single broker and the federation exercise their
-    real incremental paths (array-store patching, shard-slice catch-up)
-    rather than full rebuilds.
+    produces on every value-only refresh — each snapshot a delta patch of
+    the last — so both the single broker and the federation exercise
+    their real incremental path (array-store patching) rather than full
+    rebuilds.
     """
 
     def __init__(self, snap: ClusterSnapshot, seed: int) -> None:

@@ -19,7 +19,9 @@ needs beyond the one-shot :class:`~repro.core.broker.ResourceBroker`:
   before granting any lease — greedy in priority order, then a pairwise
   order-swap improvement pass — so a batch's total Equation-4 cost is
   never worse than the historical decide-and-grant-one-at-a-time loop;
-* **metrics** for every grant/denial/renewal/expiry and decision latency.
+* **metrics** for every grant/denial/renewal/expiry and decision latency;
+* a **shard scope**: over a :class:`~repro.monitor.slicing.ShardSnapshotSource`
+  the service decides on the fleet snapshot within the source's nodes.
 
 The asyncio daemon in :mod:`repro.broker.server` is a thin transport
 around this class; tests drive it directly with an injected clock.
@@ -63,6 +65,7 @@ from repro.core.policies import (
 from repro.core.weights import TradeOff
 from repro.monitor.delta import snapshot_lineage
 from repro.monitor.quarantine import NodeQuarantine
+from repro.monitor.slicing import ShardSnapshotSource
 from repro.monitor.snapshot import (
     CachedSnapshotSource,
     ClusterSnapshot,
@@ -87,7 +90,7 @@ BATCH_IMPROVE_PASSES = 2
 
 
 def _check_ppn(
-    params: AllocateParams, snapshot: ClusterSnapshot, held: frozenset[str]
+    params: AllocateParams, snapshot: ClusterSnapshot, exclude: frozenset[str]
 ) -> None:
     """Refuse a request that an explicit ``ppn`` cannot fit.
 
@@ -95,13 +98,13 @@ def _check_ppn(
     it visited (lines 12-13), which would grant more than ``ppn``
     processes per node.  A lease must honour the ``ppn`` it was asked
     for, so the broker denies when the usable nodes — monitored, live
-    and not held — cannot take ``n_processes`` at ``ppn`` each.
+    and not excluded — cannot take ``n_processes`` at ``ppn`` each.
     """
     if params.ppn is None:
         return
-    usable = len(
-        (frozenset(snapshot.nodes) & frozenset(snapshot.livehosts)) - held
-    )
+    live = set(snapshot.livehosts)
+    live.difference_update(exclude)
+    usable = len(live.intersection(snapshot.nodes))
     if params.n_processes > params.ppn * usable:
         raise AllocationError(
             f"{params.n_processes} processes do not fit at ppn={params.ppn} "
@@ -204,6 +207,14 @@ class BrokerService:
                 f"choose from {sorted(PAPER_POLICIES)}"
             )
         self._snapshots = snapshot_source
+        #: a federation shard's own nodes (``None``: the whole snapshot)
+        self._scope = (
+            snapshot_source.nodes
+            if isinstance(snapshot_source, ShardSnapshotSource)
+            else None
+        )
+        # (lineage serial ≥ 1, snapshot nodes outside the scope)
+        self._outside: tuple[int, frozenset[str]] = (0, frozenset())
         self._clock = clock
         self.default_policy = default_policy
         # name → configured policy instance used instead of the registry
@@ -460,14 +471,7 @@ class BrokerService:
         # Stochastic policies must not be memoized — two clients asking
         # twice expect two draws — and are the only rng consumers.
         if not self.memoize_decisions or policy == "random":
-            _check_ppn(params, snapshot, held)
-            return self._broker.request(
-                _request(params),
-                rng=self._rng,
-                policy=self._policy_overrides.get(policy, policy),
-                exclude=held or None,
-                snapshot=snapshot,
-            ).allocation
+            return self._allocate(snapshot, params, policy, held, self._rng)
         self._sync_decision_memo(snapshot_lineage(snapshot))
         key: _DecisionKey = (
             policy,
@@ -484,15 +488,11 @@ class BrokerService:
                 raise hit
             return hit
         try:
-            _check_ppn(params, snapshot, held)
             # An override swaps in a configured instance; the memo still
-            # keys on the *name* (the override is fixed for this service).
-            allocation = self._broker.request(
-                _request(params),
-                policy=self._policy_overrides.get(policy, policy),
-                exclude=held or None,
-                snapshot=snapshot,
-            ).allocation
+            # keys on the *name* (the override is fixed for this service)
+            # and on ``held`` alone (the nodes outside the scope are fixed
+            # for the lineage the memo belongs to).
+            allocation = self._allocate(snapshot, params, policy, held)
         except WaitRecommended:
             raise  # depends on the threshold config, not worth caching
         except AllocationError as exc:
@@ -500,6 +500,43 @@ class BrokerService:
             raise
         self._memo_store(key, allocation)
         return allocation
+
+    def _allocate(
+        self,
+        snapshot: ClusterSnapshot,
+        params: AllocateParams,
+        policy: str,
+        held: frozenset[str],
+        rng: np.random.Generator | None = None,
+    ) -> Allocation:
+        """The policy's decision on ``snapshot``, with ``held`` and every
+        node outside this service's scope masked out."""
+        exclude = self._exclude(snapshot, held)
+        _check_ppn(params, snapshot, exclude)
+        return self._broker.request(
+            _request(params),
+            rng=rng,
+            policy=self._policy_overrides.get(policy, policy),
+            exclude=exclude or None,
+            snapshot=snapshot,
+            scope=self._scope,
+        ).allocation
+
+    def _exclude(
+        self, snapshot: ClusterSnapshot, held: frozenset[str]
+    ) -> frozenset[str]:
+        """``held`` plus the snapshot's nodes outside this service's scope,
+        kept per lineage serial (only a rebuild changes the node set), not
+        on the snapshot, which it would keep alive."""
+        if self._scope is None:
+            return held
+        serial = snapshot_lineage(snapshot)[0]
+        if self._outside[0] != serial:
+            self._outside = (
+                serial,
+                frozenset(n for n in snapshot.nodes if n not in self._scope),
+            )
+        return held | self._outside[1]
 
     def _memo_store(
         self, key: _DecisionKey, outcome: Allocation | AllocationError
@@ -623,6 +660,7 @@ class BrokerService:
             quarantined = self.quarantine.excluded()
             if quarantined:
                 exclude = frozenset(exclude | quarantined)
+        exclude = self._exclude(snapshot, exclude)
         t0 = time.perf_counter()
         plan = self.planner.propose(
             snapshot,

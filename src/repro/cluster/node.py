@@ -8,7 +8,7 @@ users) vary and are sampled by the monitoring daemons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.util.validation import require_non_negative, require_positive
 
@@ -92,13 +92,3 @@ class NodeState:
         """Return an independent copy of this state."""
         return replace(self)
 
-
-@dataclass(frozen=True)
-class NodeSample:
-    """A timestamped observation of a node's dynamic state.
-
-    Produced by ``NodeStateD`` and stored in the shared store.
-    """
-
-    time: float
-    state: NodeState = field(compare=False)

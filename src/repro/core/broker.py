@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class ResourceBroker:
         now: float | None = None,
         exclude: frozenset[str] | None = None,
         snapshot: ClusterSnapshot | None = None,
+        scope: Collection[str] | None = None,
     ) -> BrokerResult:
         """Allocate nodes for ``request``.
 
@@ -86,14 +87,16 @@ class ResourceBroker:
         rebuilding a filtered snapshot; ``snapshot`` pins the decision to
         a caller-chosen snapshot (the broker daemon decides every request
         of one micro-batch against the same one) instead of pulling a
-        fresh one from the source.  Raises :class:`WaitRecommended` when
+        fresh one from the source.  ``scope`` limits the saturation
+        guard's mean to those nodes (a federation shard's own; the
+        caller excludes the rest).  Raises :class:`WaitRecommended` when
         the saturation guard trips.
         """
         chosen = self._resolve_policy(policy)
         if snapshot is None:
             snapshot = self._snapshot_source()
         if self.wait_threshold is not None:
-            self._check_saturation(snapshot, request)
+            self._check_saturation(snapshot, scope)
         t0 = self._clock()
         allocation = chosen.allocate(
             snapshot, request, rng=rng, exclude=exclude or None
@@ -119,14 +122,12 @@ class ResourceBroker:
             ) from None
 
     def _check_saturation(
-        self, snapshot: ClusterSnapshot, request: AllocationRequest
+        self, snapshot: ClusterSnapshot, scope: Collection[str] | None
     ) -> None:
-        views = snapshot.nodes
+        views = [v for n, v in snapshot.nodes.items() if scope is None or n in scope]
         if not views:
             raise AllocationError("no monitored nodes")
-        per_core = [
-            v.cpu_load["m5"] / v.cores for v in views.values()
-        ]
+        per_core = [v.cpu_load["m5"] / v.cores for v in views]
         mean = float(np.mean(per_core))
         assert self.wait_threshold is not None
         if mean > self.wait_threshold:

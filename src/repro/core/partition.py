@@ -2,8 +2,8 @@
 
 The federation router never runs Algorithms 1–2 over the whole fleet;
 that is exactly the per-decision ceiling sharding removes.  Each shard's
-:class:`~repro.broker.service.BrokerService` decides placements on its
-own sliced snapshot.  The router only needs
+:class:`~repro.broker.service.BrokerService` decides placements within
+its own nodes.  The router only needs
 :meth:`PartitionedLoadState.aggregates`: per shard, total/free cores,
 mean Equation-1 CL and mean Equation-2 NL per subtree, and quarantine
 counts.

@@ -151,7 +151,7 @@ class AllocationPolicy(ABC):
         """Nodes that are live, monitored, and not masked out."""
         live = set(snapshot.livehosts)
         if exclude:
-            live -= set(exclude)
+            live.difference_update(exclude)
         usable = [n for n in snapshot.nodes if n in live]
         if not usable:
             raise AllocationError("no live nodes with monitoring data")

@@ -18,7 +18,7 @@ attributable to reconfiguration alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 from repro.apps.minimd import MiniMD, MiniMDConfig
 from repro.cluster.topology import uniform_cluster
@@ -265,10 +265,3 @@ def run_elastic_comparison(
     elastic = run_variant(reconfigure=True, seed=seed, config=cfg)
     return ElasticComparison(seed=seed, static=static, elastic=elastic)
 
-
-def comparison_rows(comparison: ElasticComparison) -> list[Mapping]:
-    """Flat rows (one per variant) for tables and JSON artifacts."""
-    return [
-        comparison.static.to_dict(),
-        comparison.elastic.to_dict(),
-    ]

@@ -150,12 +150,12 @@ class ReconfigPlanner:
         """
         own = set(nodes)
         masked = set(exclude or ()) - own
+        live = frozenset(snapshot.livehosts)
         usable = [
             n
             for n in snapshot.nodes
-            if n in snapshot.livehosts or not snapshot.livehosts
+            if (n in live or not live) and n not in masked
         ]
-        usable = [n for n in usable if n not in masked]
         if not usable:
             return None
 

@@ -1,11 +1,11 @@
 """The federation router — scoring front-end over per-subtree shards.
 
 One :class:`FederationRouter` fronts N :class:`~repro.broker.service.
-BrokerService` shards, each deciding placements over its own slice of
-the monitor snapshot (see :mod:`repro.monitor.slicing`; a shard's
-sliced source catches itself up whenever the shard decides, so the
-router never pushes snapshots) with a namespaced lease table
-(``shard1:L00000001``).  The router duck-types
+BrokerService` shards, each deciding placements within its own subtree
+on the one fleet snapshot the router scores (see
+:mod:`repro.monitor.slicing`; a shard polls the fleet source whenever
+it decides, so the router never pushes snapshots) with a namespaced
+lease table (``shard1:L00000001``).  The router duck-types
 the ``BrokerService`` surface the daemon drives — ``allocate_batch`` /
 ``renew`` / ``release`` / ``reconfigure`` / ``status`` /
 ``sweep_expired`` plus a ``metrics`` object — so the whole asyncio
@@ -748,13 +748,13 @@ def build_federation(
     commit_hook: Callable[[str], None] | None = None,
     **service_kwargs: Any,
 ) -> FederationRouter:
-    """Wire a full federation: sliced sources, namespaced shard services.
+    """Wire a full federation: scoped sources, namespaced shard services.
 
     Each shard gets a :class:`ShardSnapshotSource` over the parent
-    source (identity reuse, else a delta patch of its slice, polled by
-    the shard's own service) and a
-    :class:`BrokerService` whose lease table is namespaced with the
-    shard id.  ``service_kwargs`` go to every shard service verbatim.
+    source (the fleet snapshot itself, scoped to the shard's nodes) and
+    a :class:`BrokerService` whose lease table is namespaced with the
+    shard id.  ``service_kwargs`` go to every shard service verbatim,
+    so a ``quarantine`` is one detector shared by every shard.
 
     Shard services scale the network-load-aware policy's Algorithm-1
     prune threshold by 1/N (unless the caller supplies their own

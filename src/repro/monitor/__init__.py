@@ -22,14 +22,8 @@ from repro.monitor.snapshot import (
     NodeView,
     oracle_snapshot,
 )
-from repro.monitor.slicing import ShardSnapshotSource, slice_delta, slice_snapshot
-from repro.monitor.store import (
-    AsyncSharedStore,
-    FileStore,
-    InMemoryStore,
-    MemoryStore,
-    SharedStore,
-)
+from repro.monitor.slicing import ShardSnapshotSource
+from repro.monitor.store import FileStore, InMemoryStore, SharedStore
 from repro.monitor.system import MonitoringSystem
 
 __all__ = [
@@ -47,13 +41,9 @@ __all__ = [
     "ClusterSnapshot",
     "NodeView",
     "oracle_snapshot",
-    "AsyncSharedStore",
     "FileStore",
     "InMemoryStore",
-    "MemoryStore",
     "SharedStore",
     "ShardSnapshotSource",
-    "slice_delta",
-    "slice_snapshot",
     "MonitoringSystem",
 ]

@@ -17,14 +17,12 @@ This module provides the three pieces of the incremental path:
   immutable :class:`~repro.monitor.snapshot.ClusterSnapshot`, patch its
   one :class:`~repro.core.arrays.ArrayStore` (O(changed) instead of a
   rebuild; decisions on the new snapshot slice the patched store), and
-  stamp the new snapshot's *lineage* and the step that produced it.
+  stamp the new snapshot's *lineage*.
 
 Lineage: every snapshot belongs to a ``(serial, generation)`` line.  A
 full rebuild starts a new serial at generation 0; each applied delta
 bumps the generation.  The broker's decision memo reads it via
-:func:`snapshot_lineage` and clears whenever it changes; a shard's
-sliced source reads it via :func:`snapshot_step_delta` to catch up one
-step without re-diffing.
+:func:`snapshot_lineage` and clears whenever it changes.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ PairKey = tuple[str, str]
 #: key under which the (serial, generation) pair lives in a snapshot's
 #: ``derived_cache``
 _LINEAGE_KEY = "snapshot_lineage"
-
-#: key under which a delta-patched snapshot stashes the exact
-#: :class:`SnapshotDelta` that produced it from its predecessor
-_STEP_DELTA_KEY = "snapshot_step_delta"
 
 #: monotonically increasing serial handed to every fresh (non-delta)
 #: snapshot lineage; process-wide so two sources never collide
@@ -191,29 +185,6 @@ def snapshot_lineage(snapshot: ClusterSnapshot) -> tuple[int, int]:
     return lineage
 
 
-def snapshot_step_delta(
-    snapshot: ClusterSnapshot, after: ClusterSnapshot
-) -> SnapshotDelta | None:
-    """The delta that advanced ``after`` into ``snapshot``, if it chains.
-
-    Snapshots produced by :func:`apply_snapshot_delta` carry the exact
-    delta that built them; a consumer holding the predecessor can catch
-    up in O(changed) without re-diffing the fleet (the monitor already
-    knew what moved at ingestion — diffing would re-pay O(V) for that
-    knowledge).  Returns ``None`` unless ``snapshot`` is exactly one
-    generation ahead of ``after`` on the same lineage; callers then fall
-    back to :func:`compute_delta` or a full rebuild.
-    """
-    delta = derived_cache(snapshot).get(_STEP_DELTA_KEY)
-    if delta is None:
-        return None
-    old_serial, old_generation = snapshot_lineage(after)
-    serial, generation = snapshot_lineage(snapshot)
-    if serial != old_serial or generation != old_generation + 1:
-        return None
-    return delta
-
-
 def _patched(old: Mapping, changes: Mapping) -> Mapping:
     """``old`` with ``changes`` applied; ``old`` itself if there are none."""
     return {**old, **changes} if changes else old
@@ -244,7 +215,6 @@ def apply_snapshot_delta(
     serial, generation = snapshot_lineage(old)
     cache = derived_cache(patched)
     cache[_LINEAGE_KEY] = (serial, generation + 1)
-    cache[_STEP_DELTA_KEY] = delta
     # Local import: arrays.py imports the snapshot module at import
     # time, so the dependency must stay one-way at module load.
     from repro.core.arrays import STORE_KEY

@@ -87,9 +87,6 @@ class NodeQuarantine:
             del self._quarantined_until[n]
         return frozenset(self._quarantined_until)
 
-    def is_quarantined(self, node: str) -> bool:
-        return node in self.excluded()
-
     def stats(self) -> dict:
         """The JSON-serializable block for the broker's status RPC."""
         return {

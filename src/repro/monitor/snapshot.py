@@ -52,9 +52,6 @@ class NodeView:
     #: ``None`` when assembled from records lacking topology info)
     switch: str | None = None
 
-    def load_now(self) -> float:
-        return float(self.cpu_load["now"])
-
 
 @dataclass(frozen=True)
 class ClusterSnapshot:

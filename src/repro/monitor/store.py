@@ -1,16 +1,11 @@
 """Shared key-value store standing in for the paper's NFS data plane.
 
 Every daemon writes its observations here; the Node Allocator reads only
-from here.  Three implementations share one interface:
+from here.  Two implementations share one interface:
 
 * :class:`InMemoryStore` — fast, used by simulations and tests; values
   are stored by reference (a later mutation through the caller's alias
   is visible to readers — simulations rely on cheap writes);
-* :class:`MemoryStore` — in-memory but *serialized*: records are
-  JSON-encoded at ``put`` and decoded at ``get``, giving FileStore's
-  isolation and corruption semantics without the filesystem, plus an
-  async surface (:class:`AsyncSharedStore`) for coroutine code, which
-  no daemon in the package uses;
 * :class:`FileStore` — one JSON file per key under a directory, matching
   the paper's "each node daemon writes its data to the shared file
   system" literally (useful for inspecting runs on disk).
@@ -74,45 +69,6 @@ class SharedStore(ABC):
         return None if rec is None else now - rec[0]
 
 
-class AsyncSharedStore(ABC):
-    """Awaitable counterpart of :class:`SharedStore`.
-
-    Coroutine code must not call a store that can block the event loop;
-    this surface makes that contract explicit.  Backends whose
-    operations are already non-blocking (:class:`MemoryStore`) implement
-    both interfaces over the same data.  Nothing in the package awaits
-    it today: the broker and federation daemons read monitor state as
-    snapshots, not store records.
-    """
-
-    @abstractmethod
-    async def aput(self, key: str, value: Any, time: float) -> None:
-        """Write ``value`` under ``key`` with write timestamp ``time``."""
-
-    @abstractmethod
-    async def aget(self, key: str) -> tuple[float, Any] | None:
-        """Return ``(time, value)`` or ``None`` if the key is absent."""
-
-    @abstractmethod
-    async def akeys(self, prefix: str = "") -> list[str]:
-        """All keys starting with ``prefix``, sorted."""
-
-    @abstractmethod
-    async def adelete(self, key: str) -> bool:
-        """Remove ``key``; return whether it existed."""
-
-    # -- convenience ------------------------------------------------------
-    async def avalue(self, key: str, default: Any = None) -> Any:
-        """The stored value, or ``default``."""
-        rec = await self.aget(key)
-        return default if rec is None else rec[1]
-
-    async def aage(self, key: str, now: float) -> float | None:
-        """Seconds since ``key`` was last written, or ``None``."""
-        rec = await self.aget(key)
-        return None if rec is None else now - rec[0]
-
-
 class InMemoryStore(SharedStore):
     """Dictionary-backed store."""
 
@@ -133,62 +89,6 @@ class InMemoryStore(SharedStore):
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class MemoryStore(SharedStore, AsyncSharedStore):
-    """Serialized in-memory store, safe to share across writers.
-
-    Records are JSON-encoded at ``put`` time into one string per key —
-    the exact bytes FileStore would write — so a writer mutating a value
-    it already handed over cannot retroactively change what readers see,
-    and undecodable records surface as :class:`StoreCorruptError` with
-    the same ``(key, reason)`` contract FileStore's torn files have.
-
-    Every operation is a single dict read/replace of an immutable
-    string, so writes are atomic with respect to readers (a reader sees
-    the old record or the new one, never a torn hybrid) and nothing ever
-    blocks — which is what makes the :class:`AsyncSharedStore` methods
-    honest straight delegations rather than thread-pool shims.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, str] = {}
-
-    # -- sync surface ----------------------------------------------------
-    def put(self, key: str, value: Any, time: float) -> None:
-        self._data[key] = json.dumps({"time": time, "value": value})
-
-    def get(self, key: str) -> tuple[float, Any] | None:
-        raw = self._data.get(key)
-        if raw is None:
-            return None
-        try:
-            rec = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptError(key, f"not valid JSON ({exc})") from exc
-        return _decode_record(key, rec)
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._data if k.startswith(prefix))
-
-    def delete(self, key: str) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    # -- async surface ---------------------------------------------------
-    async def aput(self, key: str, value: Any, time: float) -> None:
-        self.put(key, value, time)
-
-    async def aget(self, key: str) -> tuple[float, Any] | None:
-        return self.get(key)
-
-    async def akeys(self, prefix: str = "") -> list[str]:
-        return self.keys(prefix)
-
-    async def adelete(self, key: str) -> bool:
-        return self.delete(key)
 
 
 def _decode_record(key: str, rec: Any) -> tuple[float, Any]:

@@ -1,130 +1,96 @@
-"""Snapshot slicing: projection correctness and the incremental path."""
+"""A shard's snapshot source: the fleet snapshot itself, scoped to a shard.
+
+Every shard decides on the snapshot the router scores, so one monitor
+refresh leaves one snapshot and one array store, patched once, which
+the router's fleet pass and every shard's decisions all read.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.monitor.slicing as slicing
-from repro.core.arrays import load_state
+from repro.broker.protocol import AllocateParams, ReleaseParams
+from repro.core.arrays import STORE_KEY, LoadState
 from repro.experiments.scenario import small_scenario
-from repro.federation import snapshot_switches, subtree_partition
-from repro.monitor.slicing import ShardSnapshotSource, slice_snapshot
-from repro.monitor.snapshot import CachedSnapshotSource
-
-from tests.properties.test_delta_differential import assert_states_identical
+from repro.federation import (
+    build_federation,
+    snapshot_switches,
+    subtree_partition,
+)
+from repro.monitor.slicing import ShardSnapshotSource
+from repro.monitor.snapshot import CachedSnapshotSource, derived_cache
+from tests.federation.conftest import TTL
 
 
 @pytest.fixture
 def sc():
     """A private scenario — these tests advance simulated time."""
-    return small_scenario(8, seed=1, warmup_s=300.0)
+    return small_scenario(16, seed=3, warmup_s=600.0)
 
 
-class TestSliceSnapshot:
-    def test_projection_keeps_only_shard_state(self, sc):
-        snap = sc.snapshot()
-        part = subtree_partition(snapshot_switches(snap), 2)
-        keep = set(part["shard1"])
-        sliced = slice_snapshot(snap, keep)
-        assert set(sliced.nodes) == keep & set(snap.nodes)
-        assert sliced.time == snap.time
-        for pair in sliced.bandwidth_mbs:
-            assert pair[0] in keep and pair[1] in keep
-        for pair in sliced.latency_us:
-            assert pair[0] in keep and pair[1] in keep
-        assert all(h in keep for h in sliced.livehosts)
-        # livehosts order is the parent's, filtered
-        assert list(sliced.livehosts) == [
-            h for h in snap.livehosts if h in keep
-        ]
-
-    def test_cross_subtree_links_are_dropped(self, sc):
-        snap = sc.snapshot()
-        part = subtree_partition(snapshot_switches(snap), 2)
-        sliced = slice_snapshot(snap, part["shard1"])
-        crossing = [
-            pair
-            for pair in snap.latency_us
-            if (pair[0] in part["shard1"]) != (pair[1] in part["shard1"])
-        ]
-        assert all(pair not in sliced.latency_us for pair in crossing)
-
-    def test_unknown_nodes_are_ignored(self, sc):
-        snap = sc.snapshot()
-        sliced = slice_snapshot(snap, ["ghost1", *list(snap.nodes)[:2]])
-        assert len(sliced.nodes) == 2
+def _drifting(sc, now: list[float]) -> CachedSnapshotSource:
+    """A fleet source that advances the scenario 30 s per refresh."""
+    return CachedSnapshotSource(
+        sc.snapshot,
+        max_age_s=1.0,
+        clock=lambda: now[0],
+        refresh_hook=lambda: sc.advance(30.0),
+    )
 
 
 class TestShardSnapshotSource:
-    def test_same_parent_object_reuses_the_slice(self, sc):
+    def test_serves_the_parent_snapshot(self, sc):
         snap = sc.snapshot()
-        source = ShardSnapshotSource(lambda: snap, list(snap.nodes)[:4])
-        first = source()
-        second = source()
-        assert second is first
-        assert source.reuses == 1
-        assert source.rebuilds == 1  # the initial slice
+        nodes = list(snap.nodes)[:4]
+        source = ShardSnapshotSource(lambda: snap, nodes)
+        assert source() is snap
+        assert source.nodes == frozenset(nodes)
 
-    def test_parent_advance_is_served_incrementally(self, sc):
-        part = subtree_partition(
-            snapshot_switches(sc.snapshot()), 2
-        )
-        source = ShardSnapshotSource(sc.snapshot, part["shard1"])
+    def test_follows_the_parent(self, sc):
+        now = [0.0]
+        parent = _drifting(sc, now)
+        nodes = subtree_partition(snapshot_switches(parent()), 2)["shard1"]
+        source = ShardSnapshotSource(parent, nodes)
         first = source()
-        sc.advance(30.0)
+        now[0] += 2.0
         second = source()
-        assert second is not first
+        assert second is parent() and second is not first
         assert second.time > first.time
-        assert set(second.nodes) == set(first.nodes)
-        assert (source.rebuilds, source.deltas, source.reuses) == (1, 1, 0)
 
     def test_rejects_empty_node_set(self, sc):
         with pytest.raises(ValueError):
             ShardSnapshotSource(sc.snapshot, [])
 
 
-class TestCatchUpDifferential:
-    """A lagging slice caught up from a delta-chained parent ≡ a fresh slice."""
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_catch_up_after_k_parent_steps(self, sc, monkeypatch, k):
-        now = [0.0]
-        parent = CachedSnapshotSource(
-            sc.snapshot,
-            max_age_s=0.0,
-            clock=lambda: now[0],
-            refresh_hook=lambda: sc.advance(30.0),
-        )
-        nodes = subtree_partition(snapshot_switches(parent()), 2)["shard1"]
-        shard = ShardSnapshotSource(parent, nodes)
-        first = shard()
-        load_state(first, nodes=list(first.nodes), ppn=4)  # a store to patch
-        for _ in range(k):
-            now[0] += 1.0
-            parent()
-        assert parent.deltas_applied == k
-        reslices = []
-        real_slice = slicing.slice_snapshot
-        monkeypatch.setattr(
-            slicing,
-            "slice_snapshot",
-            lambda *args: reslices.append(k) or real_slice(*args),
-        )
-        caught = shard()
-        # one stashed step is patched in; a longer gap is resliced
-        assert len(reslices) == (0 if k == 1 else 1)
-        assert (shard.rebuilds, shard.deltas) == (1, 1)
-        fresh = real_slice(parent(), nodes)
-        for attr in (
-            "time",
-            "nodes",
-            "bandwidth_mbs",
-            "latency_us",
-            "peak_bandwidth_mbs",
-            "livehosts",
-        ):
-            assert getattr(caught, attr) == getattr(fresh, attr), attr
-        kwargs = {"nodes": list(fresh.nodes), "ppn": 4}
-        assert_states_identical(
-            load_state(caught, **kwargs), load_state(fresh, **kwargs)
-        )
+def test_shards_and_router_read_one_store_per_refresh(sc):
+    """After drifting refreshes, every shard's LoadState slices the
+    array store the router's fleet pass reads: the patched one."""
+    now = [0.0]
+    source = _drifting(sc, now)
+    partition = subtree_partition(snapshot_switches(source()), 4)
+    router = build_federation(
+        source, partition, clock=lambda: now[0], default_ttl_s=TTL
+    )
+    for _ in range(4):
+        now[0] += 2.0
+        for sid in router.shard_ids:
+            service = router.shard(sid).service
+            out = service.allocate_batch(
+                [AllocateParams(n_processes=4, ttl_s=TTL)]
+            )[0]
+            service.release(ReleaseParams(lease_id=out["lease_id"]))
+        router.shards()
+        snap = source()
+        store = derived_cache(snap)[STORE_KEY]
+        assert router._partitioned()._fleet_pass()[0] is store
+        states = [
+            v for v in derived_cache(snap).values() if isinstance(v, LoadState)
+        ]
+        assert {
+            sid
+            for sid, nodes in partition.items()
+            for state in states
+            if set(state.nodes) <= set(nodes)
+        } == set(partition)
+        assert all(state.store is store for state in states)
+    assert source.deltas_applied >= 3

@@ -82,3 +82,11 @@ class TestInMemoryStore:
         s.put("a", 1, 0.0)
         s.put("b", 2, 0.0)
         assert len(s) == 2
+
+    def test_shares_by_reference(self):
+        # Cheap writes: a later mutation through the writer's alias shows.
+        s = InMemoryStore()
+        value = {"load": 1.0}
+        s.put("k", value, 0.0)
+        value["load"] = 99.0
+        assert s.value("k") == {"load": 99.0}

@@ -6,15 +6,13 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.topology import uniform_cluster
 from repro.des.engine import Engine
 from repro.monitor.daemons import LivehostsD
-from repro.monitor.store import FileStore, InMemoryStore, MemoryStore
+from repro.monitor.store import FileStore, InMemoryStore
 
 
-@pytest.fixture(params=["memory", "serialized", "file"])
+@pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
         return InMemoryStore()
-    if request.param == "serialized":
-        return MemoryStore()
     return FileStore(tmp_path / "nfs")
 
 
